@@ -45,7 +45,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--node-limit", type=int, default=10_000)
     sub.add_argument("--conflict-limit", type=int, default=1_000)
     sub.add_argument("--max-learned-length", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--stats-json", default=None)
     sub.add_argument("--trace", default=None)
 
@@ -57,7 +56,6 @@ def _config_from_args(args) -> SolverConfig:
         node_limit=args.node_limit,
         conflict_limit=args.conflict_limit,
         max_learned_length=args.max_learned_length,
-        seed=args.seed,
         emit_trace=args.trace is not None,
     )
 

@@ -32,8 +32,8 @@ from .model import (
     Variable,
     VarKind,
 )
-from .propagation import residual_max, is_tight_propagation
-from .rationals import ONE, ZERO, frac_ceil, frac_floor, is_finite
+from .propagation import is_tight_propagation
+from .rationals import ONE, ZERO, is_finite
 from .trail import (
     INITIAL_STATE,
     BoundChange,
@@ -85,45 +85,89 @@ class AnalysisResult:
 # -- state scans --------------------------------------------------------------
 
 
-def _scan_states(trail: Trail):
-    """Yield (state, lb, ub) for the initial state and every change state."""
-    lb = [v.global_lb for v in trail.variables]
-    ub = [v.global_ub for v in trail.variables]
-    yield INITIAL_STATE, lb, ub
-    for ch in trail.changes:
-        if ch.kind is BoundKind.LOWER:
-            lb[ch.var] = ch.new_value
+class _ActivityWalk:
+    """C's max activity, kept while walking the trail forward from the root.
+
+    The activity is a pair: the exact sum of the finite contributions and
+    the number of infinite ones.  ``apply`` updates it in O(1) per bound
+    change, and only a change on a variable of C can move it.  For each
+    variable of C the walk also keeps a_j times its other bound, the one
+    that minimizes the term, for the propagation test.  Contributions are
+    Fractions; an infinite one is stored as None.
+    """
+
+    def __init__(self, C: LinearConstraint, variables: Sequence[Variable]):
+        self.rhs = C.rhs
+        self.coef = dict(C.terms)
+        self.top = {}  # j -> a_j times the bound maximizing a_j x_j
+        self.bottom = {}  # j -> a_j times the bound minimizing a_j x_j
+        self.finite = ZERO
+        self.infinite = 0
+        for j, a in C.terms:
+            v = variables[j]
+            hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
+            if is_finite(hi):
+                self.top[j] = a * hi
+                self.finite += self.top[j]
+            else:
+                self.top[j] = None
+                self.infinite += 1
+            self.bottom[j] = a * lo if is_finite(lo) else None
+
+    def apply(self, ch: BoundChange) -> bool:
+        """Apply one change; False if its variable is not in C."""
+        a = self.coef.get(ch.var)
+        if a is None:
+            return False
+        value = a * ch.new_value
+        if (ch.kind is BoundKind.UPPER) != (a > 0):
+            self.bottom[ch.var] = value
+            return True
+        old = self.top[ch.var]
+        if old is None:
+            self.infinite -= 1
         else:
-            ub[ch.var] = ch.new_value
-        yield ch.state, lb, ub
+            self.finite -= old
+        self.finite += value
+        self.top[ch.var] = value
+        return True
+
+    def infeasible(self) -> bool:
+        return self.infinite == 0 and self.finite < self.rhs
+
+    def propagates(self) -> bool:
+        """Would C tighten some bound of one of its variables?
+
+        C tightens x_j iff putting x_j at its minimizing bound, with every
+        other term at its max, violates C.  For an integral x_j the bound
+        itself is integral, so this agrees with the rounded deduction of
+        ``propagate_candidates``.
+        """
+        rhs = self.rhs
+        if self.infinite > 1 or self.infeasible():
+            return False
+        for j, top in self.top.items():
+            if top is None:
+                residual = self.finite
+            elif self.infinite:
+                continue
+            else:
+                residual = self.finite - top
+            bottom = self.bottom[j]
+            if bottom is None or residual + bottom < rhs:
+                return True
+        return False
 
 
 def min_infeasible_state(C: LinearConstraint, trail: Trail) -> Optional[StateId]:
     """Lexicographically smallest state at which C's max activity < rhs."""
-    for state, lb, ub in _scan_states(trail):
-        if activity_bounds_max(C, lb, ub) < C.rhs:
-            return state
+    walk = _ActivityWalk(C, trail.variables)
+    if walk.infeasible():
+        return INITIAL_STATE
+    for ch in trail.changes:
+        if walk.apply(ch) and walk.infeasible():
+            return ch.state
     return None
-
-
-def _propagates_under(C: LinearConstraint, trail: Trail, lb, ub) -> bool:
-    if activity_bounds_max(C, lb, ub) < C.rhs:
-        return False
-    for j, a in C.terms:
-        residual = residual_max(C, j, lb, ub)
-        if not is_finite(residual):
-            continue
-        pre = (C.rhs - residual) / a
-        var = trail.variables[j]
-        if a > 0:
-            value = frac_ceil(pre) if var.is_integral else pre
-            if value > lb[j]:
-                return True
-        else:
-            value = frac_floor(pre) if var.is_integral else pre
-            if value < ub[j]:
-                return True
-    return False
 
 
 def is_asserting(
@@ -132,31 +176,32 @@ def is_asserting(
     """Earliest state at a decision level before ``conflict_level`` where C
     would tighten some bound; None if there is no such state.
 
-    C must still propagate at the *end* of that level: a deduction visible
-    mid-level but subsumed by later changes of the same level is stale, and
-    backjumping for it would make no progress.
+    C must still propagate at the *end* of some level before
+    ``conflict_level``: a deduction visible mid-level but subsumed by later
+    changes of the same level is stale, and backjumping for it would make
+    no progress.  The answer is then the first propagating state of the
+    trail, even if that one is stale.
     """
     if conflict_level is None:
         conflict_level = trail.current_level
-    level_end = {}  # level -> (lb, ub) after its last change
-    for state, lb, ub in _scan_states(trail):
-        if state.level >= conflict_level:
-            break
-        level_end[state.level] = (list(lb), list(ub))
-    target_level: Optional[int] = None
-    for level in sorted(level_end):
-        lb, ub = level_end[level]
-        if _propagates_under(C, trail, lb, ub):
-            target_level = level
-            break
-    if target_level is None:
+    if conflict_level <= 0:
         return None
-    for state, lb, ub in _scan_states(trail):
-        if state.level > target_level:
-            break
-        if _propagates_under(C, trail, lb, ub):
-            return state
-    raise AssertionError("asserting level found but no asserting state")
+    walk = _ActivityWalk(C, trail.variables)
+    propagates = walk.propagates()
+    first = INITIAL_STATE if propagates else None
+    level = 0
+    for ch in trail.changes:
+        if ch.state.level != level:
+            if propagates:
+                return first
+            if ch.state.level >= conflict_level:
+                return None
+            level = ch.state.level
+        if walk.apply(ch):
+            propagates = walk.propagates()
+            if propagates and first is None:
+                first = ch.state
+    return first if propagates else None
 
 
 # -- reason handling ----------------------------------------------------------

@@ -196,12 +196,6 @@ class Problem:
     def objective_dict(self) -> dict:
         return dict(self.objective) if self.objective else {}
 
-    def var_by_name(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
 
 def build_problem(
     variables: Sequence[Variable],

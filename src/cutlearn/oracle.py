@@ -407,8 +407,3 @@ def _validate_disjunction(
         if not bounded or s_max is None or s_max > 0:
             return False
     return True
-
-
-def rows_from_constraints(constraints: Sequence[LinearConstraint]) -> List[Row]:
-    """Convert model rows to the oracle's sparse row form."""
-    return [(dict(C.terms), C.rhs) for C in constraints]

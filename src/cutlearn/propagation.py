@@ -95,10 +95,6 @@ def propagate_candidates(
     return NO_CHANGE
 
 
-def propagate_constraint(C: LinearConstraint, trail: Trail) -> PropagationResult:
-    return propagate_candidates(C, trail)
-
-
 @dataclass(frozen=True)
 class DisjunctionPropagation:
     conflict: bool

@@ -42,13 +42,6 @@ def ext_add(a: Ext, b: Ext) -> Ext:
     return a + b
 
 
-def ext_sum(values) -> Ext:
-    total: Ext = ZERO
-    for v in values:
-        total = ext_add(total, v)
-    return total
-
-
 def ext_neg(a: Ext) -> Ext:
     if a == INF:
         return NEG_INF
@@ -76,14 +69,6 @@ def ext_div(a: Ext, b: Rat) -> Ext:
     if is_inf(a):
         return a if b > 0 else ext_neg(a)
     return a / b
-
-
-def ext_min(a: Ext, b: Ext) -> Ext:
-    return a if a <= b else b
-
-
-def ext_max(a: Ext, b: Ext) -> Ext:
-    return a if a >= b else b
 
 
 def frac_floor(a: Rat) -> Rat:

@@ -59,8 +59,6 @@ class SolverConfig:
     node_limit: int = 10_000
     conflict_limit: int = 1_000
     max_learned_length: Optional[int] = None
-    branch_order: str = "lowest_index"
-    seed: int = 0
     # "solve": learn and use; "generate": learn but ignore (phase 1);
     # "exploit": no learning, extra initial objects supplied (phase 2).
     mode: str = "solve"

@@ -73,3 +73,10 @@ def test_bad_input_paths(tmp_path, capsys):
 def test_bad_flags():
     assert main(["solve"]) == EXIT_INPUT_ERROR
     assert main([]) == EXIT_INPUT_ERROR
+
+
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    """The search is deterministic and reads no seed, so none is accepted."""
+    path = _write(tmp_path, "a.opb", OPB)
+    assert main(["solve", path, "--seed", "1"]) == EXIT_INPUT_ERROR
+    assert "--seed" in capsys.readouterr().err

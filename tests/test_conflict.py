@@ -1,6 +1,8 @@
 """Conflict analysis: backward resolution, continuous elimination, fallbacks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutlearn.conflict import (
     AnalysisConfig,
@@ -18,12 +20,14 @@ from cutlearn.conflict import (
 )
 from cutlearn.cuts import ReductionStrategy, resolve
 from cutlearn.model import BoundKind, Variable, VarKind
-from cutlearn.propagation import propagate_fixpoint
+from cutlearn.propagation import propagate_fixpoint, residual_max
+from cutlearn.rationals import INF, NEG_INF, frac_ceil, frac_floor, is_finite
 from cutlearn.trail import (
     INITIAL_STATE,
     RowReason,
     StateId,
     Trail,
+    activity_bounds_max,
     max_activity,
 )
 
@@ -68,6 +72,171 @@ def test_is_asserting_sees_root_even_with_later_deduction():
     t.push_decision(2, BoundKind.UPPER, 0)
     t.push_deduction(0, BoundKind.LOWER, 1, RowReason(0, C))
     assert is_asserting(C, t, 2) == INITIAL_STATE
+
+
+def _stale_then_asserting():
+    """y >= z over y, z in [0,5]: z >= 2 makes the row deduce y >= 2 at
+    (1,0) and the deduction (1,1) makes that stale, but y <= 4 at level 2
+    lets the row tighten z again."""
+    vs = [
+        Variable(0, "y", VarKind.INTEGER, F(0), F(5)),
+        Variable(1, "z", VarKind.INTEGER, F(0), F(5)),
+        Variable(2, "x", VarKind.BINARY, F(0), F(1)),
+    ]
+    C = mk({0: 1, 1: -1}, 0)
+    t = Trail(vs)
+    t.push_decision(1, BoundKind.LOWER, 2)
+    t.push_deduction(0, BoundKind.LOWER, 2, RowReason(0, C))
+    t.push_decision(0, BoundKind.UPPER, 4)
+    t.push_decision(2, BoundKind.UPPER, 0)
+    return C, t, 3
+
+
+def test_is_asserting_returns_stale_first_state_when_a_later_level_asserts():
+    """Some level end asserts, so the answer is the first propagating
+    state, stale or not."""
+    C, t, _ = _stale_then_asserting()
+    assert is_asserting(C, t, 3) == StateId(1, 0)
+    assert is_asserting(C, t, 2) is None
+    assert _reference_is_asserting(C, t, 3) == StateId(1, 0)
+    assert _reference_is_asserting(C, t, 2) is None
+
+
+# -- reference equivalence ----------------------------------------------------
+#
+# The state queries as they were before the incremental trail walk: rebuild
+# the bound vectors at every state and rescan the whole row per term.
+
+
+def _reference_scan_states(trail):
+    lb = [v.global_lb for v in trail.variables]
+    ub = [v.global_ub for v in trail.variables]
+    yield INITIAL_STATE, lb, ub
+    for ch in trail.changes:
+        if ch.kind is BoundKind.LOWER:
+            lb[ch.var] = ch.new_value
+        else:
+            ub[ch.var] = ch.new_value
+        yield ch.state, lb, ub
+
+
+def _reference_min_infeasible_state(C, trail):
+    for state, lb, ub in _reference_scan_states(trail):
+        if activity_bounds_max(C, lb, ub) < C.rhs:
+            return state
+    return None
+
+
+def _reference_propagates_under(C, trail, lb, ub):
+    if activity_bounds_max(C, lb, ub) < C.rhs:
+        return False
+    for j, a in C.terms:
+        residual = residual_max(C, j, lb, ub)
+        if not is_finite(residual):
+            continue
+        pre = (C.rhs - residual) / a
+        var = trail.variables[j]
+        if a > 0:
+            value = frac_ceil(pre) if var.is_integral else pre
+            if value > lb[j]:
+                return True
+        else:
+            value = frac_floor(pre) if var.is_integral else pre
+            if value < ub[j]:
+                return True
+    return False
+
+
+def _reference_is_asserting(C, trail, conflict_level=None):
+    if conflict_level is None:
+        conflict_level = trail.current_level
+    level_end = {}
+    for state, lb, ub in _reference_scan_states(trail):
+        if state.level >= conflict_level:
+            break
+        level_end[state.level] = (list(lb), list(ub))
+    target_level = None
+    for level in sorted(level_end):
+        lb, ub = level_end[level]
+        if _reference_propagates_under(C, trail, lb, ub):
+            target_level = level
+            break
+    if target_level is None:
+        return None
+    for state, lb, ub in _reference_scan_states(trail):
+        if state.level > target_level:
+            break
+        if _reference_propagates_under(C, trail, lb, ub):
+            return state
+    raise AssertionError("asserting level found but no asserting state")
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _variable(draw, index):
+    kind = draw(st.sampled_from(list(VarKind)))
+    if kind is VarKind.BINARY:
+        return Variable(index, f"v{index}", kind, F(0), F(1))
+    lb = draw(st.one_of(st.just(NEG_INF), _small.map(F)))
+    ub = draw(st.one_of(st.just(INF), st.integers(0, 5).map(F)))
+    if lb != NEG_INF and ub != INF:
+        ub = lb + ub
+    if kind is VarKind.CONTINUOUS and lb != NEG_INF:
+        lb = lb + F(draw(st.integers(0, 2)), 3)
+        ub = max(ub, lb)
+    return Variable(index, f"v{index}", kind, lb, ub)
+
+
+@st.composite
+def _trail_and_row(draw):
+    n = draw(st.integers(1, 5))
+    vs = [draw(_variable(i)) for i in range(n)]
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    coefs = {
+        j: F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
+        for j in support
+    }
+    C = mk(coefs, F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))))
+    t = Trail(vs)
+    reason = RowReason(0, C)
+    for _ in range(draw(st.integers(0, 20))):
+        # Mostly changes on C's variables: only those can move the answers.
+        j = draw(st.one_of(st.sampled_from(sorted(support)), st.integers(0, n - 1)))
+        v = vs[j]
+        kind = draw(st.sampled_from(list(BoundKind)))
+        lo, hi = t.local_lb[j], t.local_ub[j]
+        if lo == NEG_INF:
+            lo = min(F(-5), hi) if hi != INF else F(-5)
+        if hi == INF:
+            hi = max(F(5), lo)
+        step = F(1) if v.is_integral else F(1, 2)
+        k = draw(st.integers(1, 6))
+        if kind is BoundKind.LOWER:
+            value = (frac_ceil(lo) if v.is_integral else lo) + k * step
+            if value <= t.local_lb[j] or value > hi + 1:
+                continue
+        else:
+            value = (frac_floor(hi) if v.is_integral else hi) - k * step
+            if value >= t.local_ub[j] or value < lo - 1:
+                continue
+        decide = v.kind is not VarKind.CONTINUOUS and draw(st.booleans())
+        if decide:
+            t.push_decision(j, kind, value)
+        else:
+            t.push_deduction(j, kind, value, reason)
+    level = draw(st.integers(0, t.current_level + 1))
+    return C, t, level
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trail_and_row())
+def test_state_queries_match_reference(case):
+    C, t, level = case
+    assert min_infeasible_state(C, t) == _reference_min_infeasible_state(C, t)
+    assert is_asserting(C, t, level) == _reference_is_asserting(C, t, level)
+    assert is_asserting(C, t) == _reference_is_asserting(C, t)
 
 
 # -- mixed-binary regression --------------------------------------------------
