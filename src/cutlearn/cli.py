@@ -46,7 +46,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--conflict-limit", type=int, default=1_000)
     sub.add_argument("--max-learned-length", type=int, default=None)
     sub.add_argument("--stats-json", default=None)
-    sub.add_argument("--trace", default=None)
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -56,7 +55,6 @@ def _config_from_args(args) -> SolverConfig:
         node_limit=args.node_limit,
         conflict_limit=args.conflict_limit,
         max_learned_length=args.max_learned_length,
-        emit_trace=args.trace is not None,
     )
 
 

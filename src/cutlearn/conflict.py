@@ -11,7 +11,7 @@ the implication graph instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
@@ -23,6 +23,7 @@ from .cuts import (
     mir_cut,
     reduce_reason,
     resolve,
+    weaken,
 )
 from .model import (
     BoundAtom,
@@ -33,11 +34,10 @@ from .model import (
     VarKind,
 )
 from .propagation import is_tight_propagation
-from .rationals import ONE, ZERO, is_finite
+from .rationals import INF, ONE, ZERO, is_finite
 from .trail import (
     INITIAL_STATE,
     BoundChange,
-    DisjunctionReason,
     RowReason,
     StateId,
     Trail,
@@ -48,12 +48,6 @@ from .trail import (
 )
 
 GRAPH_FALLBACK = "graph"
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    max_learned_length: Optional[int] = None
-    emit_trace: bool = False
 
 
 @dataclass(frozen=True)
@@ -276,8 +270,6 @@ def reduce_mbp(
         cursor = target.state
     # Weaken any remaining (relaxable) continuous terms so the binary
     # reduction sees a pure 0/1 constraint.
-    from .cuts import weaken
-
     for j, _ in work.terms:
         if variables[j].kind is VarKind.CONTINUOUS:
             work = weaken(work, j, variables)
@@ -350,22 +342,19 @@ def resolve_general_integer(
         return FAILED
     work = work.scaled(ONE / a_r)
 
-    # Literal-space bounds: shifted vars live on [0, ub-lb]; complemented
-    # ones on [0, ub-lb] as well, so lb 0 holds for MIR.
-    class _LitVar:
-        def __init__(self, kind, glb, gub):
-            self.kind = kind
-            self.global_lb = glb
-            self.global_ub = gub
-            self.is_integral = kind in (VarKind.BINARY, VarKind.INTEGER)
-
-    lit_vars = {}
+    # Literal-space bounds: shifted and complemented variables both live on
+    # [0, ub - lb], so lb 0 holds for MIR.
+    lit_vars = list(variables)
     for j, _ in work.terms:
         v = variables[j]
-        width = v.global_ub - v.global_lb if is_finite(v.global_ub) and is_finite(v.global_lb) else v.global_ub
-        lit_vars[j] = _LitVar(v.kind, ZERO, width)
+        width = (
+            v.global_ub - v.global_lb
+            if is_finite(v.global_ub) and is_finite(v.global_lb)
+            else INF
+        )
+        lit_vars[j] = replace(v, global_lb=ZERO, global_ub=width)
     try:
-        cut = mir_cut(work, _SeqView(lit_vars, len(variables)))
+        cut = mir_cut(work, lit_vars)
     except CutError:
         return FAILED
 
@@ -389,20 +378,6 @@ def resolve_general_integer(
     return FAILED
 
 
-class _SeqView:
-    """Sequence facade over a sparse {index: variable-like} mapping."""
-
-    def __init__(self, mapping, size):
-        self._mapping = mapping
-        self._size = size
-
-    def __getitem__(self, j):
-        return self._mapping[j]
-
-    def __len__(self):
-        return self._size
-
-
 # -- Algorithm-1 main loop ----------------------------------------------------
 
 
@@ -410,7 +385,7 @@ def analyze(
     conflict_row: LinearConstraint,
     trail: Trail,
     strategy: ReductionStrategy,
-    config: AnalysisConfig = AnalysisConfig(),
+    max_learned_length: Optional[int] = None,
 ) -> AnalysisResult:
     """Learn a globally valid constraint explaining the current conflict.
 
@@ -425,58 +400,49 @@ def analyze(
     used: Set[int] = set()
     prev_state: Optional[StateId] = None
 
+    def result(outcome: str, **fields) -> AnalysisResult:
+        return AnalysisResult(
+            outcome,
+            iterations=iterations,
+            strategy_used=strategy.value,
+            used_row_indices=tuple(sorted(used)),
+            trace=tuple(trace),
+            **fields,
+        )
+
+    def step(state: StateId, var: int, action: str) -> None:
+        nonlocal iterations
+        iterations += 1
+        trace.append(
+            f"iter={iterations} state=({state.level},{state.index}) "
+            f"var={var} action={action} len={len(C_learn)}"
+        )
+
     while True:
         if global_max_activity(C_learn, variables) < C_learn.rhs:
-            return AnalysisResult(
-                "global_infeasibility",
-                constraint=C_learn,
-                iterations=iterations,
-                strategy_used=strategy.value,
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
-            )
+            return result("global_infeasibility", constraint=C_learn)
         asserting_at = is_asserting(C_learn, trail, conflict_level)
         s = min_infeasible_state(C_learn, trail)
         if s is None:
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason="conflict lost during strengthening",
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "abandoned", abandoned_reason="conflict lost during strengthening"
             )
         if asserting_at is not None:
-            return AnalysisResult(
+            return result(
                 "learned",
                 constraint=_with_origin(C_learn, strategy),
                 backjump_target=asserting_at,
-                iterations=iterations,
-                strategy_used=strategy.value,
                 conflicting_state=s,
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
             )
         if s.level == 0:
             # Conflicts with globally valid root deductions: no feasible
             # point exists.
-            return AnalysisResult(
-                "global_infeasibility",
-                constraint=C_learn,
-                iterations=iterations,
-                strategy_used=strategy.value,
-                conflicting_state=s,
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "global_infeasibility", constraint=C_learn, conflicting_state=s
             )
         if prev_state is not None and s >= prev_state:
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason="no progress in the backward walk",
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "abandoned", abandoned_reason="no progress in the backward walk"
             )
         prev_state = s
         ch = trail.change_at(s)
@@ -484,22 +450,13 @@ def analyze(
             # A decision state can only be minimal if the constraint
             # propagates at its predecessor, which the asserting check
             # would have caught.
-            return AnalysisResult(
+            return result(
                 "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
                 abandoned_reason="minimal infeasible state is a decision",
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
             )
         if not isinstance(ch.reason, RowReason):
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason="reason is a bound disjunction",
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "abandoned", abandoned_reason="reason is a bound disjunction"
             )
         C_reason = ch.reason.row
         used.add(ch.reason.index)
@@ -520,12 +477,7 @@ def analyze(
                     )
                     if isinstance(out, EarlierConflict):
                         C_learn = out.constraint
-                        iterations += 1
-                        if config.emit_trace:
-                            trace.append(
-                                f"iter={iterations} state=({s.level},{s.index}) "
-                                f"var={r} action=earlier-conflict len={len(C_learn)}"
-                            )
+                        step(s, r, "earlier-conflict")
                         continue
                     reduced = out.constraint
                     action = "mbp"
@@ -535,23 +487,14 @@ def analyze(
             elif variables[r].kind is VarKind.INTEGER:
                 out = resolve_general_integer(C_reason, C_learn, r, trail, s)
                 if isinstance(out, Failed):
-                    return AnalysisResult(
+                    return result(
                         "abandoned",
-                        iterations=iterations,
-                        strategy_used=strategy.value,
                         abandoned_reason="general-integer resolution failed",
                         conflicting_state=s,
-                        used_row_indices=tuple(sorted(used)),
-                        trace=tuple(trace),
                     )
                 if isinstance(out, Resolved):
                     C_learn = _strengthen(out.constraint, variables)
-                    iterations += 1
-                    if config.emit_trace:
-                        trace.append(
-                            f"iter={iterations} state=({s.level},{s.index}) "
-                            f"var={r} action=int-resolve len={len(C_learn)}"
-                        )
+                    step(s, r, "int-resolve")
                     continue
                 reduced = out.constraint
                 action = "separation-cut"
@@ -560,26 +503,14 @@ def analyze(
                 # is unreachable; kept as a guard.
                 reduced = C_reason
         except ReductionError as exc:
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason=str(exc),
-                conflicting_state=s,
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "abandoned", abandoned_reason=str(exc), conflicting_state=s
             )
         try:
             C_learn = resolve(C_learn, reduced, r)
         except CutError as exc:
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason=str(exc),
-                conflicting_state=s,
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+            return result(
+                "abandoned", abandoned_reason=str(exc), conflicting_state=s
             )
         if action == "tight":
             # A tightly propagating reason guarantees the plain resolvent is
@@ -589,23 +520,10 @@ def analyze(
                 f"resolvent feasible at {s} after tight resolution on x{r}"
             )
         C_learn = _strengthen(C_learn, variables)
-        iterations += 1
-        if config.emit_trace:
-            trace.append(
-                f"iter={iterations} state=({s.level},{s.index}) var={r} "
-                f"action={action} len={len(C_learn)}"
-            )
-        if (
-            config.max_learned_length is not None
-            and len(C_learn) > config.max_learned_length
-        ):
-            return AnalysisResult(
-                "abandoned",
-                iterations=iterations,
-                strategy_used=strategy.value,
-                abandoned_reason="learned constraint too long",
-                used_row_indices=tuple(sorted(used)),
-                trace=tuple(trace),
+        step(s, r, action)
+        if max_learned_length is not None and len(C_learn) > max_learned_length:
+            return result(
+                "abandoned", abandoned_reason="learned constraint too long"
             )
 
 

@@ -88,25 +88,6 @@ def weaken(
     return LinearConstraint.from_dict(terms, C.rhs - a * bound, "derived")
 
 
-def complement(
-    C: LinearConstraint, var: int, variables: Sequence[Variable]
-) -> Tuple[LinearConstraint, int]:
-    """Rewrite the term on var against ub - x; returns the var as inverse record.
-
-    Complementation is an involution: applying it again on the same variable
-    restores the original constraint.
-    """
-    a = C.coef(var)
-    if a == 0:
-        raise CutError(f"variable {var} not in constraint")
-    ub = variables[var].global_ub
-    if not is_finite(ub):
-        raise CutError(f"cannot complement x{var}: infinite upper bound")
-    terms = C.as_dict()
-    terms[var] = -a
-    return LinearConstraint.from_dict(terms, C.rhs - a * ub, "derived"), var
-
-
 def saturate(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:
     """Clip every coefficient to the rhs (binary, nonnegative, rhs > 0)."""
     if C.rhs <= 0:

@@ -52,6 +52,8 @@ class Variable:
                 )
         if self.global_lb > self.global_ub:
             raise ValueError(f"variable {self.name!r} has lb > ub")
+        if self.global_lb == INF or self.global_ub == NEG_INF:
+            raise ValueError(f"variable {self.name!r} has an empty domain")
         if self.kind is VarKind.INTEGER:
             for b in (self.global_lb, self.global_ub):
                 if is_finite(b) and not is_integral(b):

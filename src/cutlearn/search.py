@@ -17,12 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .conflict import (
-    AnalysisConfig,
-    AnalysisResult,
-    analyze,
-    graph_fallback,
-)
+from .conflict import AnalysisResult, analyze, graph_fallback
 from .cuts import ReductionStrategy
 from .model import (
     BoundAtom,
@@ -43,7 +38,7 @@ from .rationals import (
     is_integral,
     parse_rational,
 )
-from .trail import INITIAL_STATE, StateId, Trail
+from .trail import DisjunctionReason, RowReason, StateId, Trail
 
 LearnedObject = Union[LinearConstraint, BoundDisjunction]
 
@@ -68,7 +63,6 @@ class SolverConfig:
     # Invoked with (AnalysisResult, Trail) right after each successful
     # analysis, while the trail still shows the conflicting subproblem.
     on_analysis: Optional[Callable[[AnalysisResult, Trail], None]] = None
-    emit_trace: bool = False
 
     def __post_init__(self):
         if self.node_limit <= 0 or self.conflict_limit < 0:
@@ -339,27 +333,24 @@ class _Solver:
         )
         self._used_rows: Set[int] = set()
         self._used_dis: Set[int] = set()
-        self.tracked_initial = list(config.initial_learned)
         for extra in config.initial_learned:
-            self._add_learned(extra, count=False)
+            self._install(extra)
 
     # -- learned-object bookkeeping ---------------------------------------
 
-    def _add_learned(self, obj: LearnedObject, count: bool = True) -> None:
+    def _install(self, obj: LearnedObject) -> None:
+        """Make obj propagate: add it to the rows or the disjunctions."""
         if self.config.on_learned is not None:
             self.config.on_learned(obj)
         if isinstance(obj, LinearConstraint):
             self.learned_row_idx.add(len(self.rows))
             self.rows.append(obj)
-            if count:
-                self.stats.learned_linear += 1
         else:
             self.learned_dis_idx.add(len(self.disjunctions))
             self.disjunctions.append(obj)
-            if count:
-                self.stats.learned_disjunctions += 1
 
-    def _record_learned(self, obj: LearnedObject) -> None:
+    def _record(self, obj: LearnedObject) -> None:
+        """Report obj as learned by this run and count it."""
         self.learned.append(obj)
         if isinstance(obj, LinearConstraint):
             self.stats.learned_linear += 1
@@ -380,32 +371,27 @@ class _Solver:
         if kind == "row" and idx in self.unsafe_rows:
             return None  # objective-bound conflicts are not globally valid
         self.stats.conflicts_analyzed += 1
-        cfg = AnalysisConfig(
-            max_learned_length=self.config.max_learned_length,
-            emit_trace=self.config.emit_trace,
-        )
         out: Optional[AnalysisResult] = None
         if kind == "row":
             out = analyze(
-                self.rows[idx], self.trail, self.config.strategy, cfg
+                self.rows[idx],
+                self.trail,
+                self.config.strategy,
+                max_learned_length=self.config.max_learned_length,
             )
             if out.outcome == "abandoned" or self._used_unsafe(out):
                 out = None
         if out is None:
             self.stats.fallbacks += 1
-            try:
-                if kind == "row":
-                    out = graph_fallback(self.trail, conflict_row=self.rows[idx])
-                else:
-                    out = graph_fallback(
-                        self.trail,
-                        conflict_disjunction=self.disjunctions[idx],
-                    )
-            except (ValueError, AssertionError):
-                return None
+            if kind == "row":
+                out = graph_fallback(self.trail, conflict_row=self.rows[idx])
+            else:
+                out = graph_fallback(
+                    self.trail, conflict_disjunction=self.disjunctions[idx]
+                )
             if self._used_unsafe(out):
                 return None
-        if out is not None and self.config.on_analysis is not None:
+        if self.config.on_analysis is not None:
             self.config.on_analysis(out, self.trail)
         return out
 
@@ -536,10 +522,10 @@ class _Solver:
         if obj is None:
             return False
         if self.config.mode == "generate":
-            self._record_learned(obj)
+            self._record(obj)
             return False
-        self._add_learned(obj)
-        self.learned.append(obj)
+        self._install(obj)
+        self._record(obj)
         target = out.backjump_target
         if target is None:
             return False
@@ -547,8 +533,6 @@ class _Solver:
         return True
 
     def _account_learned_propagation(self, start: int) -> None:
-        from .trail import DisjunctionReason, RowReason
-
         for ch in self.trail.changes[start:]:
             if isinstance(ch.reason, RowReason):
                 if ch.reason.index in self.learned_row_idx:
@@ -578,7 +562,7 @@ class _Solver:
 
     def _finalize_stats(self) -> None:
         lengths = []
-        for obj in list(self.learned) + self.tracked_initial:
+        for obj in self.learned + list(self.config.initial_learned):
             if isinstance(obj, LinearConstraint):
                 lengths.append(len(obj))
             else:

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from cutlearn.conflict import (
-    AnalysisConfig,
     Failed,
     ReducedReason,
     SeparationCut,
@@ -218,7 +217,6 @@ def _run_agreement_sweep():
         for strategy in ReductionStrategy:
             cfg = SolverConfig(
                 strategy=strategy,
-                emit_trace=True,
                 on_analysis=lambda out, trail: _check_analysis(
                     out, trail, counters
                 ),

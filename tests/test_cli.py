@@ -80,3 +80,24 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     path = _write(tmp_path, "a.opb", OPB)
     assert main(["solve", path, "--seed", "1"]) == EXIT_INPUT_ERROR
     assert "--seed" in capsys.readouterr().err
+
+
+def test_trace_flag_is_rejected(tmp_path, capsys):
+    """No trace is written, so the flag is not accepted either."""
+    path = _write(tmp_path, "a.opb", OPB)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["solve", path, "--trace", str(trace)]) == EXIT_INPUT_ERROR
+    assert "--trace" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_empty_domain_is_an_input_error(tmp_path, capsys):
+    """A variable fixed at +inf has no value; the model must be refused,
+    not solved to a witness outside its bounds."""
+    path = _write(
+        tmp_path,
+        "empty.txt",
+        "var x continuous [inf, inf]\nvar b binary\ncon c: 1 x + 1 b >= 1\n",
+    )
+    assert main(["solve", path]) == EXIT_INPUT_ERROR
+    assert "empty domain" in capsys.readouterr().err

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlearn.conflict import (
-    AnalysisConfig,
     EarlierConflict,
     Failed,
     ReducedReason,
@@ -288,7 +287,7 @@ def test_continuous_elimination_chain():
 @pytest.mark.parametrize("strategy", list(ReductionStrategy))
 def test_mbp_analysis_learns_continuous_row(strategy):
     vs, rows, t = _mbp_conflict()
-    result = analyze(rows[2], t, strategy, AnalysisConfig(emit_trace=True))
+    result = analyze(rows[2], t, strategy)
     assert result.outcome == "learned"
     assert result.constraint == mk({3: 5, 4: -10}, 4)
     assert result.backjump_target == INITIAL_STATE

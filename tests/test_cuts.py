@@ -12,7 +12,6 @@ from cutlearn.cuts import (
     ReductionStrategy,
     cg_cut,
     coef_tighten,
-    complement,
     mir_cut,
     reduce_clause,
     reduce_cmir,
@@ -23,7 +22,7 @@ from cutlearn.cuts import (
     saturate,
     weaken,
 )
-from cutlearn.model import BoundKind, Variable, VarKind, evaluate
+from cutlearn.model import BoundKind, Variable, VarKind, complement_term, evaluate
 from cutlearn.propagation import propagate_candidates
 from cutlearn.trail import RowReason, Trail, max_activity
 
@@ -96,9 +95,9 @@ def test_weaken_pays_the_dropped_bound():
 def test_complement_operator_is_involution():
     vs = binary_vars(2)
     C = mk({0: 3, 1: -1}, 2)
-    flipped, var = complement(C, 0, vs)
-    assert var == 0 and flipped == mk({0: -3, 1: -1}, -1)
-    assert complement(flipped, 0, vs)[0] == C
+    flipped = complement_term(C, 0, vs)
+    assert flipped == mk({0: -3, 1: -1}, -1)
+    assert complement_term(flipped, 0, vs) == C
     # the flipped row holds at x0 exactly when C holds at 1 - x0
     for p in binary_points(2):
         assert (

@@ -20,6 +20,7 @@ from cutlearn.model import (
     normalize_for_reduction,
     satisfies_disjunction,
 )
+from cutlearn.rationals import INF, NEG_INF
 
 from conftest import F, binary_vars, mk
 
@@ -70,6 +71,15 @@ def test_binary_bounds_enforced():
         Variable(0, "z", VarKind.INTEGER, F(0), F(3, 2))
     with pytest.raises(ValueError):
         Variable(0, "y", VarKind.CONTINUOUS, F(1), F(0))
+
+
+@pytest.mark.parametrize("kind", [VarKind.CONTINUOUS, VarKind.INTEGER])
+def test_empty_domain_rejected(kind):
+    """A lower bound of +inf or an upper bound of -inf admits no value."""
+    for lb, ub in ((INF, INF), (NEG_INF, NEG_INF)):
+        with pytest.raises(ValueError, match="empty domain"):
+            Variable(0, "x", kind, lb, ub)
+    Variable(0, "x", kind, NEG_INF, INF)  # a free variable is fine
 
 
 def test_build_problem_canonicalizes_senses():
