@@ -246,6 +246,7 @@ _STATS_KEYS = (
     "avg_learned_length",
     "used_pct",
     "bdchgs_by_learned",
+    "propagation_capped",
     "status",
     "objective",
 )
@@ -261,6 +262,7 @@ def emit_stats(stats: Stats, status: str = "", objective: Optional[Rat] = None) 
         "avg_learned_length": stats.avg_learned_length,
         "used_pct": stats.used_pct,
         "bdchgs_by_learned": stats.bdchgs_by_learned,
+        "propagation_capped": stats.propagation_capped,
         "status": status,
         "objective": None if objective is None else format_rational(objective),
     }

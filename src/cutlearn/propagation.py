@@ -129,6 +129,8 @@ class FixpointResult:
     source: Optional[Tuple[str, int]] = None
     state: Optional[StateId] = None
     num_changes: int = 0
+    # True when ``max_rounds`` stopped the loop before a fixpoint.
+    capped: bool = False
 
 
 def propagate_fixpoint(
@@ -143,6 +145,12 @@ def propagate_fixpoint(
     (two rows tightening each other by a shrinking amount each round), so
     the number of rounds is capped.  Stopping early is sound: propagation
     only ever deduces implied bounds, never assumes anything.
+
+    A row is skipped when the trail still holds it stable: it implied
+    nothing when last evaluated, and no bound of its variables has changed
+    since (``Trail.is_stable``).  Evaluating it would again give no change,
+    so the order, the deductions and any conflict stay those of a plain
+    round robin.
     """
     num_changes = 0
     changed = True
@@ -151,6 +159,8 @@ def propagate_fixpoint(
         changed = False
         rounds += 1
         for i, row in enumerate(rows):
+            if trail.is_stable(i, row):
+                continue
             while True:
                 result = propagate_candidates(row, trail)
                 if result.conflict:
@@ -177,6 +187,7 @@ def propagate_fixpoint(
                     num_changes += 1
                     applied = True
                 if not applied:
+                    trail.mark_stable(i, row)
                     break
                 changed = True
         for i, dis in enumerate(disjunctions):
@@ -190,7 +201,7 @@ def propagate_fixpoint(
                 trail.push_deduction(var, kind, value, DisjunctionReason(i, dis))
                 num_changes += 1
                 changed = True
-    return FixpointResult(False, num_changes=num_changes)
+    return FixpointResult(False, num_changes=num_changes, capped=changed)
 
 
 def is_tight_propagation(C: LinearConstraint, change, trail: Trail) -> bool:

@@ -50,10 +50,6 @@ def ext_neg(a: Ext) -> Ext:
     return -a
 
 
-def ext_sub(a: Ext, b: Ext) -> Ext:
-    return ext_add(a, ext_neg(b))
-
-
 def ext_mul(a: Rat, b: Ext) -> Ext:
     """Multiply a finite rational by an extended value."""
     if is_inf(b):
@@ -61,14 +57,6 @@ def ext_mul(a: Rat, b: Ext) -> Ext:
             raise InfinityArithmeticError("0 * inf")
         return b if a > 0 else ext_neg(b)
     return a * b
-
-
-def ext_div(a: Ext, b: Rat) -> Ext:
-    if b == 0:
-        raise ZeroDivisionError("division by zero rational")
-    if is_inf(a):
-        return a if b > 0 else ext_neg(a)
-    return a / b
 
 
 def frac_floor(a: Rat) -> Rat:

@@ -81,6 +81,8 @@ class Stats:
     avg_learned_length: Optional[float] = None
     used_pct: Optional[float] = None
     bdchgs_by_learned: int = 0
+    # Fixpoints that ``max_rounds`` stopped before they were reached.
+    propagation_capped: int = 0
 
 
 @dataclass
@@ -480,6 +482,8 @@ class _Solver:
             start = len(self.trail.changes)
             fix = propagate_fixpoint(self.trail, self.rows, self.disjunctions)
             self._account_learned_propagation(start)
+            if fix.capped:
+                self.stats.propagation_capped += 1
             if fix.conflict:
                 if self.trail.current_level == 0:
                     return self._finish(proved=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
 from .rationals import (
@@ -76,6 +76,13 @@ class Trail:
         self.changes: List[BoundChange] = []
         self.bound_inconsistent = False
         self.inconsistent_var: Optional[int] = None
+        # ``tick`` counts bound changes, undone ones included; ``stamp[j]`` is
+        # the tick of x_j's latest change (made or undone).  ``stable_rows``
+        # maps a row index to the row and the tick at which propagation last
+        # found that row implying nothing.
+        self.tick = 0
+        self.stamp: List[int] = [0] * len(self.variables)
+        self.stable_rows: Dict[int, Tuple[LinearConstraint, int]] = {}
 
     # -- state bookkeeping ------------------------------------------------
 
@@ -118,6 +125,8 @@ class Trail:
             self.local_lb[j] = change.new_value
         else:
             self.local_ub[j] = change.new_value
+        self.tick += 1
+        self.stamp[j] = self.tick
         if self.local_lb[j] > self.local_ub[j]:
             self.bound_inconsistent = True
             self.inconsistent_var = j
@@ -178,6 +187,8 @@ class Trail:
                 self.local_lb[ch.var] = ch.old_value
             else:
                 self.local_ub[ch.var] = ch.old_value
+            self.tick += 1
+            self.stamp[ch.var] = self.tick
         self.bound_inconsistent = False
         self.inconsistent_var = None
         for j in range(len(self.variables)):
@@ -185,6 +196,24 @@ class Trail:
                 self.bound_inconsistent = True
                 self.inconsistent_var = j
                 break
+
+    # -- stable rows ---------------------------------------------------------
+
+    def mark_stable(self, index: int, row: LinearConstraint) -> None:
+        """Record that ``row``, at ``index``, implies nothing at current bounds."""
+        self.stable_rows[index] = (row, self.tick)
+
+    def is_stable(self, index: int, row: LinearConstraint) -> bool:
+        """True iff ``row`` was marked stable at ``index`` and no bound of its
+        variables has changed since, so it still implies nothing."""
+        entry = self.stable_rows.get(index)
+        if entry is None or entry[0] is not row:
+            return False
+        stamp, since = self.stamp, entry[1]
+        for j, _ in row.terms:
+            if stamp[j] > since:
+                return False
+        return True
 
     # -- bound queries -----------------------------------------------------
 
@@ -236,13 +265,6 @@ def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = N
         return activity_bounds_max(C, trail.local_lb, trail.local_ub)
     lb, ub = trail.bounds_at(state)
     return activity_bounds_max(C, lb, ub)
-
-
-def min_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
-    if state is None:
-        return activity_bounds_min(C, trail.local_lb, trail.local_ub)
-    lb, ub = trail.bounds_at(state)
-    return activity_bounds_min(C, lb, ub)
 
 
 def global_max_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:

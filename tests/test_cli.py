@@ -23,6 +23,22 @@ def test_solve_opb(tmp_path, capsys):
     assert "status: optimal objective: 1" in out
     payload = json.loads(open(stats).read())
     assert payload["status"] == "optimal" and payload["objective"] == "1"
+    assert payload["propagation_capped"] == 0
+
+
+def test_stats_json_counts_capped_propagation(tmp_path):
+    """y1 <= (y2 + 1) / 2 and y2 <= (y1 + 1) / 2 pull both upper bounds
+    toward 1 without ever reaching a fixpoint, so the round cap stops it."""
+    text = (
+        "var y1 continuous [0, 10]\n"
+        "var y2 continuous [0, 10]\n"
+        "con a: -2 y1 + 1 y2 >= -1\n"
+        "con b: 1 y1 - 2 y2 >= -1\n"
+    )
+    path = _write(tmp_path, "zigzag.txt", text)
+    stats = str(tmp_path / "stats.json")
+    assert main(["solve", path, "--stats-json", stats]) == EXIT_OK
+    assert json.loads(open(stats).read())["propagation_capped"] == 1
 
 
 def test_solve_native_with_reduction_flag(tmp_path, capsys):

@@ -142,10 +142,12 @@ def test_emit_stats_fixed_key_order():
         "avg_learned_length",
         "used_pct",
         "bdchgs_by_learned",
+        "propagation_capped",
         "status",
         "objective",
     ]
     assert payload["nodes"] == 3
+    assert payload["propagation_capped"] == 0
     assert payload["objective"] == "7/2"
 
 

@@ -14,14 +14,21 @@ from cutlearn.model import (
     evaluate,
 )
 from cutlearn.propagation import (
+    FixpointResult,
     is_tight_propagation,
     propagate_candidates,
     propagate_disjunction,
     propagate_fixpoint,
     residual_max,
 )
-from cutlearn.rationals import INF
-from cutlearn.trail import RowReason, Trail, max_activity
+from cutlearn.rationals import INF, NEG_INF, is_finite
+from cutlearn.trail import (
+    INITIAL_STATE,
+    DisjunctionReason,
+    RowReason,
+    Trail,
+    max_activity,
+)
 
 from conftest import F, binary_vars, mk
 
@@ -96,7 +103,7 @@ def test_fixpoint_idempotent():
     t = Trail(binary_vars(3))
     rows = [mk({0: 1, 1: 1}, 2), mk({1: -1, 2: 1}, 0)]
     res = propagate_fixpoint(t, rows)
-    assert not res.conflict and res.num_changes > 0
+    assert not res.conflict and res.num_changes > 0 and not res.capped
     before = (list(t.local_lb), list(t.local_ub))
     again = propagate_fixpoint(t, rows)
     assert again.num_changes == 0
@@ -122,7 +129,7 @@ def test_continuous_zigzag_terminates():
     t = Trail(vs)
     rows = [mk({0: -2, 1: 1}, -1), mk({1: -2, 0: 1}, -1)]
     res = propagate_fixpoint(t, rows, max_rounds=50)
-    assert not res.conflict
+    assert not res.conflict and res.capped
     # limit point is y1 = y2 = 1; every derived bound must stay valid there
     assert t.local_ub[0] >= 1 and t.local_ub[1] >= 1
     for C in rows:
@@ -208,3 +215,163 @@ def test_max_activity_drops_below_rhs_exactly_on_conflict():
     t.push_decision(0, BoundKind.UPPER, 0)
     assert max_activity(C, t) < C.rhs
     assert propagate_candidates(C, t).conflict
+
+
+# -- stable-row skip -----------------------------------------------------------
+
+
+def reference_fixpoint(trail, rows, disjunctions=(), max_rounds=200):
+    """The plain round robin that evaluates every row in every round."""
+    num_changes = 0
+    changed = True
+    rounds = 0
+    while changed and rounds < max_rounds:
+        changed = False
+        rounds += 1
+        for i, row in enumerate(rows):
+            while True:
+                result = propagate_candidates(row, trail)
+                if result.conflict:
+                    return FixpointResult(
+                        True, ("row", i), trail.current_state, num_changes
+                    )
+                applied = False
+                for cand in result.changes:
+                    if cand.kind is BoundKind.LOWER:
+                        if cand.value <= trail.local_lb[cand.var]:
+                            continue
+                    else:
+                        if cand.value >= trail.local_ub[cand.var]:
+                            continue
+                    trail.push_deduction(
+                        cand.var,
+                        cand.kind,
+                        cand.value,
+                        RowReason(i, row),
+                        cand.pre_rounding,
+                    )
+                    num_changes += 1
+                    applied = True
+                if not applied:
+                    break
+                changed = True
+        for i, dis in enumerate(disjunctions):
+            res = propagate_disjunction(dis, trail)
+            if res.conflict:
+                return FixpointResult(
+                    True, ("disjunction", i), trail.current_state, num_changes
+                )
+            if res.change is not None:
+                var, kind, value = res.change
+                trail.push_deduction(var, kind, value, DisjunctionReason(i, dis))
+                num_changes += 1
+                changed = True
+    return FixpointResult(False, num_changes=num_changes, capped=changed)
+
+
+@st.composite
+def variable_sets(draw):
+    variables = []
+    for j in range(draw(st.integers(min_value=2, max_value=5))):
+        kind = draw(st.sampled_from(list(VarKind)))
+        if kind is VarKind.BINARY:
+            lb, ub = F(0), F(1)
+        elif kind is VarKind.INTEGER:
+            lb = draw(st.sampled_from([NEG_INF, F(-2), F(0)]))
+            ub = draw(st.sampled_from([F(1), F(3), INF]))
+        else:
+            lb = draw(st.sampled_from([NEG_INF, F(-3, 2), F(0)]))
+            ub = draw(st.sampled_from([F(1, 2), F(2), INF]))
+        variables.append(Variable(j, f"v{j}", kind, lb, ub))
+    return variables
+
+
+def draw_row(data, n):
+    terms = data.draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=-3, max_value=3),
+            min_size=1,
+            max_size=n,
+        )
+    )
+    return mk(terms, data.draw(st.integers(min_value=-4, max_value=4)))
+
+
+def draw_decision(data, trail):
+    """A decision that tightens an unfixed integral variable within its box."""
+    free = [
+        j
+        for j, v in enumerate(trail.variables)
+        if v.is_integral and trail.local_lb[j] < trail.local_ub[j]
+    ]
+    if trail.bound_inconsistent or not free:
+        return None
+    j = data.draw(st.sampled_from(free))
+    lb, ub = trail.local_lb[j], trail.local_ub[j]
+    lo = lb if is_finite(lb) else (ub - 4 if is_finite(ub) else F(-4))
+    hi = ub if is_finite(ub) else lo + 4
+    if data.draw(st.booleans()):
+        value = data.draw(st.integers(min_value=int(lo), max_value=int(hi) - 1))
+        return j, BoundKind.UPPER, F(value)
+    value = data.draw(st.integers(min_value=int(lo) + 1, max_value=int(hi)))
+    return j, BoundKind.LOWER, F(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(variable_sets(), st.data())
+def test_stable_row_skip_matches_plain_round_robin(variables, data):
+    """Skipping stable rows changes no deduction, conflict or result, under
+    decisions, backjumps, appended learned rows and other row lists."""
+    n = len(variables)
+    rows = [draw_row(data, n) for _ in range(data.draw(st.integers(1, 4)))]
+    fast, ref = Trail(variables), Trail(variables)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        step = data.draw(
+            st.sampled_from(["decide", "fixpoint", "backjump", "learn", "other"])
+        )
+        if step == "decide":
+            decision = draw_decision(data, fast)
+            if decision is None:
+                continue
+            fast.push_decision(*decision)
+            ref.push_decision(*decision)
+            continue
+        if step == "backjump":
+            target = data.draw(st.sampled_from([INITIAL_STATE] + fast.states()))
+            fast.backjump(target)
+            ref.backjump(target)
+            assert fast.changes == ref.changes
+            continue
+        if step == "learn":
+            rows = rows + [draw_row(data, n)]
+            row_list = rows
+        elif step == "other":
+            row_list = data.draw(st.permutations(rows))
+            row_list = row_list[: data.draw(st.integers(0, len(row_list)))]
+        else:
+            row_list = rows
+        got = propagate_fixpoint(fast, row_list, max_rounds=20)
+        want = reference_fixpoint(ref, row_list, max_rounds=20)
+        assert got == want
+        assert fast.changes == ref.changes
+
+
+def test_row_stale_after_backjump_is_propagated_again():
+    """A stable row whose variable a backjump loosens is evaluated again,
+    even when nothing on the row's variables changes after the backjump."""
+    t = Trail(binary_vars(3))
+    rows = [mk({0: 1, 1: 1}, 1)]  # x0 + x1 >= 1
+    decision = t.push_decision(1, BoundKind.UPPER, 0)
+    assert propagate_fixpoint(t, rows).num_changes == 1
+    assert t.local_lb[0] == 1  # x0 >= 1, then the row is stable
+    t.backjump(decision)  # undo the deduction, keep the decision
+    assert t.local_lb[0] == 0
+    t.push_decision(2, BoundKind.UPPER, 0)  # a variable outside the row
+    res = propagate_fixpoint(t, rows)
+    assert res.num_changes == 1 and t.local_lb[0] == 1
+    # a backjump that loosens x1 and a decision that re-tightens it
+    t.backjump(INITIAL_STATE)
+    assert propagate_fixpoint(t, rows).num_changes == 0
+    t.push_decision(1, BoundKind.UPPER, 0)
+    assert propagate_fixpoint(t, rows).num_changes == 1 and t.local_lb[0] == 1

@@ -11,10 +11,8 @@ from cutlearn.rationals import (
     NEG_INF,
     InfinityArithmeticError,
     ext_add,
-    ext_div,
     ext_mul,
     ext_neg,
-    ext_sub,
     format_ext,
     format_rational,
     frac_ceil,
@@ -59,17 +57,13 @@ def test_floor_ceil_bracket(a):
 def test_infinity_rules():
     assert ext_add(INF, Fraction(5)) == INF
     assert ext_add(NEG_INF, Fraction(5)) == NEG_INF
-    assert ext_sub(Fraction(0), INF) == NEG_INF
     assert ext_mul(Fraction(-2), INF) == NEG_INF
     assert ext_neg(NEG_INF) == INF
-    assert ext_div(INF, Fraction(-1)) == NEG_INF
 
 
 def test_indeterminate_forms_raise():
     with pytest.raises(InfinityArithmeticError):
         ext_add(INF, NEG_INF)
-    with pytest.raises(InfinityArithmeticError):
-        ext_sub(INF, INF)
     with pytest.raises(InfinityArithmeticError):
         ext_mul(Fraction(0), INF)
 

@@ -13,7 +13,6 @@ from cutlearn.trail import (
     infeasible_at,
     is_relaxable,
     max_activity,
-    min_activity,
     replay_trail,
     serialize_trail,
 )
@@ -103,7 +102,6 @@ def test_activity_bounds():
     t = Trail(binary_vars(3))
     C = mk({0: 2, 1: -3, 2: 1}, 0)
     assert max_activity(C, t) == 3
-    assert min_activity(C, t) == -3
     s = t.push_decision(0, BoundKind.UPPER, 0)
     assert max_activity(C, t) == 1
     assert max_activity(C, t, INITIAL_STATE) == 3
