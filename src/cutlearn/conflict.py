@@ -41,10 +41,14 @@ from .trail import (
     RowReason,
     StateId,
     Trail,
+    activity,
     activity_bounds_max,
+    global_bounds,
     global_max_activity,
     global_min_activity,
+    infeasible_at,
     is_relaxable,
+    residual,
 )
 
 GRAPH_FALLBACK = "graph"
@@ -82,31 +86,26 @@ class AnalysisResult:
 class _ActivityWalk:
     """C's max activity, kept while walking the trail forward from the root.
 
-    The activity is a pair: the exact sum of the finite contributions and
-    the number of infinite ones.  ``apply`` updates it in O(1) per bound
-    change, and only a change on a variable of C can move it.  For each
-    variable of C the walk also keeps a_j times its other bound, the one
-    that minimizes the term, for the propagation test.  Contributions are
-    Fractions; an infinite one is stored as None.
+    The walk starts from the activity kernel at the global bounds: the
+    exact sum of the finite contributions and the number of infinite ones.
+    ``apply`` updates it in O(1) per bound change, and only a change on a
+    variable of C can move it.  With ``bottoms`` the walk also keeps, for
+    each variable of C, a_j times its other bound, the one that minimizes
+    the term, for the propagation test; only ``propagates`` reads it.  An
+    infinite contribution is stored as None.
     """
 
-    def __init__(self, C: LinearConstraint, variables: Sequence[Variable]):
+    def __init__(
+        self, C: LinearConstraint, variables: Sequence[Variable], bottoms: bool
+    ):
         self.rhs = C.rhs
         self.coef = dict(C.terms)
-        self.top = {}  # j -> a_j times the bound maximizing a_j x_j
-        self.bottom = {}  # j -> a_j times the bound minimizing a_j x_j
-        self.finite = ZERO
-        self.infinite = 0
-        for j, a in C.terms:
-            v = variables[j]
-            hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
-            if is_finite(hi):
-                self.top[j] = a * hi
-                self.finite += self.top[j]
-            else:
-                self.top[j] = None
-                self.infinite += 1
-            self.bottom[j] = a * lo if is_finite(lo) else None
+        lb, ub = global_bounds(C, variables)
+        self.finite, self.infinite, top = activity(C, lb, ub)
+        self.top = dict(zip(self.coef, top))  # j -> a_j times the maximizing bound
+        self.bottom = {}  # j -> a_j times the minimizing bound
+        if bottoms:
+            self.bottom = dict(zip(self.coef, activity(C, ub, lb).contribs))
 
     def apply(self, ch: BoundChange) -> bool:
         """Apply one change; False if its variable is not in C."""
@@ -137,25 +136,22 @@ class _ActivityWalk:
         itself is integral, so this agrees with the rounded deduction of
         ``propagate_candidates``.
         """
-        rhs = self.rhs
-        if self.infinite > 1 or self.infeasible():
+        rhs, finite, infinite = self.rhs, self.finite, self.infinite
+        if infinite > 1 or self.infeasible():
             return False
         for j, top in self.top.items():
-            if top is None:
-                residual = self.finite
-            elif self.infinite:
+            rest = residual(finite, infinite, top)
+            if rest is None:
                 continue
-            else:
-                residual = self.finite - top
             bottom = self.bottom[j]
-            if bottom is None or residual + bottom < rhs:
+            if bottom is None or rest + bottom < rhs:
                 return True
         return False
 
 
 def min_infeasible_state(C: LinearConstraint, trail: Trail) -> Optional[StateId]:
     """Lexicographically smallest state at which C's max activity < rhs."""
-    walk = _ActivityWalk(C, trail.variables)
+    walk = _ActivityWalk(C, trail.variables, bottoms=False)
     if walk.infeasible():
         return INITIAL_STATE
     for ch in trail.changes:
@@ -180,7 +176,7 @@ def is_asserting(
         conflict_level = trail.current_level
     if conflict_level <= 0:
         return None
-    walk = _ActivityWalk(C, trail.variables)
+    walk = _ActivityWalk(C, trail.variables, bottoms=True)
     propagates = walk.propagates()
     first = INITIAL_STATE if propagates else None
     level = 0
@@ -515,8 +511,7 @@ def analyze(
         if action == "tight":
             # A tightly propagating reason guarantees the plain resolvent is
             # itself infeasible at the resolved state; check it.
-            lb_s, ub_s = trail.bounds_at(s)
-            assert activity_bounds_max(C_learn, lb_s, ub_s) < C_learn.rhs, (
+            assert infeasible_at(C_learn, trail, s), (
                 f"resolvent feasible at {s} after tight resolution on x{r}"
             )
         C_learn = _strengthen(C_learn, variables)

@@ -141,6 +141,30 @@ def random_general_integer_problem(
     return build_problem(variables, rows, objective)
 
 
+def pigeonhole(p: int, h: int) -> Problem:
+    """PHP(p, h): p pigeons into h holes, at most one pigeon per hole.
+
+    Variable ``i * h + j`` says pigeon i sits in hole j.  Infeasible exactly
+    when p > h; the textbook family where cutting planes beat resolution.
+    """
+    if p < 1 or h < 1:
+        raise ValueError("pigeonhole needs at least one pigeon and one hole")
+    variables = [
+        Variable(i * h + j, f"x{i}_{j}", VarKind.BINARY, ZERO, ONE)
+        for i in range(p)
+        for j in range(h)
+    ]
+    rows = [
+        LinearConstraint.from_dict({i * h + j: ONE for j in range(h)}, ONE)
+        for i in range(p)
+    ]
+    rows += [
+        LinearConstraint.from_dict({i * h + j: -ONE for i in range(p)}, -ONE)
+        for j in range(h)
+    ]
+    return build_problem(variables, rows)
+
+
 def desk_corpus(size: int = 20, base_seed: int = 1234) -> List[Problem]:
     """Fixed mixed corpus for the two-phase experiment.
 

@@ -33,7 +33,7 @@ from .rationals import (
     is_finite,
     is_integral,
 )
-from .trail import StateId, Trail, activity_bounds_max, global_min_activity
+from .trail import StateId, Trail, global_min_activity, infeasible_at
 
 
 class CutError(ValueError):
@@ -363,8 +363,7 @@ def _resolvent_infeasible(
         res = resolve(C_confl, C_reason, r)
     except CutError:
         return False
-    lb, ub = trail.bounds_at(state)
-    return activity_bounds_max(res, lb, ub) < res.rhs
+    return infeasible_at(res, trail, state)
 
 
 def reduce_reason(

@@ -45,6 +45,12 @@ class Variable:
     global_ub: Ext
 
     def __post_init__(self):
+        for b in (self.global_lb, self.global_ub):
+            if isinstance(b, float) and not math.isinf(b):
+                raise ValueError(
+                    f"variable {self.name!r} has float bound {b}; "
+                    "finite bounds must be exact (int or Fraction)"
+                )
         if self.kind is VarKind.BINARY:
             if self.global_lb != 0 or self.global_ub != 1:
                 raise ValueError(

@@ -3,27 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, VarKind
-from .rationals import (
-    Ext,
-    Rat,
-    ZERO,
-    ext_add,
-    ext_mul,
-    frac_ceil,
-    frac_floor,
-    is_finite,
-    is_integral,
-)
+from .rationals import Rat, frac_ceil, frac_floor, is_integral
 from .trail import (
     DisjunctionReason,
     RowReason,
     StateId,
     Trail,
-    activity_bounds_max,
+    activity,
+    residual,
 )
 
 
@@ -51,36 +41,29 @@ NO_CHANGE = PropagationResult(False)
 CONFLICT = PropagationResult(True)
 
 
-def residual_max(
-    C: LinearConstraint, skip: int, lb: Sequence[Ext], ub: Sequence[Ext]
-) -> Ext:
-    """Max of sum over j != skip of a_j x_j within the bounds, or +inf."""
-    total: Ext = ZERO
-    for j, a in C.terms:
-        if j == skip:
-            continue
-        contrib = ext_mul(a, ub[j]) if a > 0 else ext_mul(a, lb[j])
-        total = ext_add(total, contrib)
-    return total
-
-
 def propagate_candidates(
     C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
 ) -> PropagationResult:
-    """Candidates from one row against the bounds at ``state`` (default: current)."""
+    """Candidates from one row against the bounds at ``state`` (default: current).
+
+    The row's activity is computed once; each term's residual (the max
+    activity of the other terms) then costs O(1).
+    """
     if state is None:
         lb, ub = trail.local_lb, trail.local_ub
     else:
         lb, ub = trail.bounds_at(state)
-    maxact = activity_bounds_max(C, lb, ub)
-    if maxact < C.rhs:
+    finite, infinite, contribs = activity(C, lb, ub)
+    if infinite == 0 and finite < C.rhs:
         return CONFLICT
+    if infinite > 1:
+        return NO_CHANGE
     candidates: List[Candidate] = []
-    for j, a in C.terms:
-        residual = residual_max(C, j, lb, ub)
-        if not is_finite(residual):
+    for (j, a), contrib in zip(C.terms, contribs):
+        rest = residual(finite, infinite, contrib)
+        if rest is None:
             continue
-        pre = (C.rhs - residual) / a
+        pre = (C.rhs - rest) / a
         var = trail.variables[j]
         if a > 0:
             value = frac_ceil(pre) if var.is_integral else pre

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .conflict import AnalysisResult, analyze, graph_fallback
 from .cuts import ReductionStrategy
@@ -40,7 +40,9 @@ from .rationals import (
 )
 from .trail import DisjunctionReason, RowReason, StateId, Trail
 
-LearnedObject = Union[LinearConstraint, BoundDisjunction]
+# Not a ``typing.Union``: typing's cache would keep every re-imported copy of
+# the model's classes alive.
+LearnedObject = LinearConstraint | BoundDisjunction
 
 
 class SolverError(Exception):

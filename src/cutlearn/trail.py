@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
 from .rationals import (
+    INF,
+    NEG_INF,
     Ext,
     Rat,
     ZERO,
-    ext_add,
     ext_mul,
     format_ext,
     format_rational,
@@ -47,7 +48,9 @@ class DisjunctionReason:
     disjunction: BoundDisjunction
 
 
-Reason = Union[None, RowReason, DisjunctionReason]  # None = branching decision
+# None = branching decision.  A ``typing.Union`` here would be kept in typing's
+# cache, and with it every re-imported copy of this module.
+Reason = RowReason | DisjunctionReason | None
 
 
 @dataclass(frozen=True)
@@ -244,20 +247,56 @@ class Trail:
 # -- activities and relaxability -------------------------------------------
 
 
-def activity_bounds_max(C: LinearConstraint, lb: Sequence[Ext], ub: Sequence[Ext]) -> Ext:
-    total: Ext = ZERO
-    for j, a in C.terms:
-        contrib = ext_mul(a, ub[j]) if a > 0 else ext_mul(a, lb[j])
-        total = ext_add(total, contrib)
-    return total
+# A bound per variable index: a full bound vector, or a dict over one row's
+# variables.
+Bounds = Union[Sequence[Ext], Mapping[int, Ext]]
 
 
-def activity_bounds_min(C: LinearConstraint, lb: Sequence[Ext], ub: Sequence[Ext]) -> Ext:
-    total: Ext = ZERO
+class Activity(NamedTuple):
+    """Max activity of a row over a box, kept exact.
+
+    ``finite`` is the sum of the finite contributions a_j x_j (x_j at the
+    bound that maximizes the term), ``infinite`` the number of infinite
+    ones, and ``contribs`` each term's contribution in term order, None
+    for an infinite one.
+    """
+
+    finite: Rat
+    infinite: int
+    contribs: Tuple[Optional[Rat], ...]
+
+
+def activity(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Activity:
+    """The activity kernel: C's max activity over the box [lb, ub].
+
+    With the two bound vectors swapped it is C's min activity, whose
+    infinite contributions are then -inf.
+    """
+    finite = ZERO
+    infinite = 0
+    contribs: List[Optional[Rat]] = []
     for j, a in C.terms:
-        contrib = ext_mul(a, lb[j]) if a > 0 else ext_mul(a, ub[j])
-        total = ext_add(total, contrib)
-    return total
+        contrib = ext_mul(a, ub[j] if a > 0 else lb[j])
+        if is_finite(contrib):
+            finite += contrib
+            contribs.append(contrib)
+        else:
+            infinite += 1
+            contribs.append(None)
+    return Activity(finite, infinite, tuple(contribs))
+
+
+def residual(finite: Rat, infinite: int, contrib: Optional[Rat]) -> Optional[Rat]:
+    """Max activity of the other terms of a row, given the row's activity
+    (``finite``, ``infinite``) and one term's contribution; None if infinite."""
+    if contrib is None:
+        return finite if infinite == 1 else None
+    return finite - contrib if infinite == 0 else None
+
+
+def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
+    finite, infinite, _ = activity(C, lb, ub)
+    return finite if infinite == 0 else INF
 
 
 def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
@@ -267,16 +306,24 @@ def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = N
     return activity_bounds_max(C, lb, ub)
 
 
+def global_bounds(
+    C: LinearConstraint, variables: Sequence[Variable]
+) -> Tuple[Dict[int, Ext], Dict[int, Ext]]:
+    """Global lower and upper bounds of C's variables, keyed by index."""
+    lb = {j: variables[j].global_lb for j, _ in C.terms}
+    ub = {j: variables[j].global_ub for j, _ in C.terms}
+    return lb, ub
+
+
 def global_max_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    lb = [v.global_lb for v in variables]
-    ub = [v.global_ub for v in variables]
+    lb, ub = global_bounds(C, variables)
     return activity_bounds_max(C, lb, ub)
 
 
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    lb = [v.global_lb for v in variables]
-    ub = [v.global_ub for v in variables]
-    return activity_bounds_min(C, lb, ub)
+    lb, ub = global_bounds(C, variables)
+    finite, infinite, _ = activity(C, ub, lb)
+    return finite if infinite == 0 else NEG_INF
 
 
 def is_relaxable(

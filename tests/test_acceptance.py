@@ -23,6 +23,7 @@ from cutlearn.conflict import (
 )
 from cutlearn.corpus import (
     desk_corpus,
+    pigeonhole,
     random_binary_problem,
     random_mbp_problem,
 )
@@ -457,3 +458,22 @@ def test_criterion_9_general_integer_cut_and_disjunction_fallback():
     assert disjunctions
     for d in disjunctions:
         assert validate_learned(fb, d)
+
+
+# -- criterion 10: learning shortens a pigeonhole proof -------------------------
+
+
+def test_criterion_10_learning_shortens_pigeonhole_proof():
+    """PHP(6,5) is infeasible under every reduction strategy, and learned
+    cMIR cuts prove it in fewer nodes than search without learning."""
+    php = pigeonhole(6, 5)
+    nodes = {}
+    for strategy in ReductionStrategy:
+        result = solve(php, SolverConfig(strategy=strategy))
+        assert result.status == "infeasible", strategy
+        nodes[strategy] = result.stats.nodes
+    plain = solve(php, SolverConfig(enable_learning=False))
+    assert plain.status == "infeasible"
+    assert nodes[ReductionStrategy.CMIR] < plain.stats.nodes
+    # PHP(p, h) is feasible exactly when every pigeon finds its own hole
+    assert solve(pigeonhole(5, 5)).status != "infeasible"

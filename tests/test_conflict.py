@@ -19,8 +19,17 @@ from cutlearn.conflict import (
 )
 from cutlearn.cuts import ReductionStrategy, resolve
 from cutlearn.model import BoundKind, Variable, VarKind
-from cutlearn.propagation import propagate_fixpoint, residual_max
-from cutlearn.rationals import INF, NEG_INF, frac_ceil, frac_floor, is_finite
+from cutlearn.propagation import propagate_fixpoint
+from cutlearn.rationals import (
+    INF,
+    NEG_INF,
+    ZERO,
+    ext_add,
+    ext_mul,
+    frac_ceil,
+    frac_floor,
+    is_finite,
+)
 from cutlearn.trail import (
     INITIAL_STATE,
     RowReason,
@@ -126,11 +135,19 @@ def _reference_min_infeasible_state(C, trail):
     return None
 
 
+def _reference_residual_max(C, skip, lb, ub):
+    total = ZERO
+    for j, a in C.terms:
+        if j != skip:
+            total = ext_add(total, ext_mul(a, ub[j]) if a > 0 else ext_mul(a, lb[j]))
+    return total
+
+
 def _reference_propagates_under(C, trail, lb, ub):
     if activity_bounds_max(C, lb, ub) < C.rhs:
         return False
     for j, a in C.terms:
-        residual = residual_max(C, j, lb, ub)
+        residual = _reference_residual_max(C, j, lb, ub)
         if not is_finite(residual):
             continue
         pre = (C.rhs - residual) / a

@@ -82,6 +82,20 @@ def test_empty_domain_rejected(kind):
     Variable(0, "x", kind, NEG_INF, INF)  # a free variable is fine
 
 
+@pytest.mark.parametrize("lb, ub", [(0.1, F(1)), (F(0), 0.7), (0.1, 0.7)])
+def test_finite_float_bound_rejected(lb, ub):
+    """A finite float bound is binary-float residue in an exact solver:
+    0.1 would enter propagation as 3602879701896397/36028797018963968."""
+    with pytest.raises(ValueError, match="float bound"):
+        Variable(0, "x", VarKind.CONTINUOUS, lb, ub)
+
+
+def test_exact_and_infinite_bounds_accepted():
+    Variable(0, "x", VarKind.CONTINUOUS, F(1, 10), F(7, 10))
+    Variable(0, "z", VarKind.INTEGER, 0, 3)
+    Variable(0, "y", VarKind.CONTINUOUS, float("-inf"), float("inf"))
+
+
 def test_build_problem_canonicalizes_senses():
     vs = binary_vars(2)
     p = build_problem(

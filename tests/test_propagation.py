@@ -14,20 +14,33 @@ from cutlearn.model import (
     evaluate,
 )
 from cutlearn.propagation import (
+    Candidate,
     FixpointResult,
+    PropagationResult,
     is_tight_propagation,
     propagate_candidates,
     propagate_disjunction,
     propagate_fixpoint,
-    residual_max,
 )
-from cutlearn.rationals import INF, NEG_INF, is_finite
+from cutlearn.rationals import (
+    INF,
+    NEG_INF,
+    ZERO,
+    ext_add,
+    ext_mul,
+    frac_ceil,
+    frac_floor,
+    is_finite,
+)
 from cutlearn.trail import (
     INITIAL_STATE,
     DisjunctionReason,
     RowReason,
     Trail,
+    activity,
+    activity_bounds_max,
     max_activity,
+    residual,
 )
 
 from conftest import F, binary_vars, mk
@@ -91,8 +104,11 @@ def test_residual_max_handles_infinite_bounds():
     ]
     t = Trail(vs)
     C = mk({0: 1, 1: 1}, 0)
-    assert residual_max(C, 0, t.local_lb, t.local_ub) == 1
-    assert residual_max(C, 1, t.local_lb, t.local_ub) == INF
+    finite, infinite, contribs = activity(C, t.local_lb, t.local_ub)
+    assert (finite, infinite, contribs) == (1, 1, (None, 1))
+    # the residual of y is 1; that of x is +inf, which the kernel gives as None
+    assert residual(finite, infinite, contribs[0]) == 1
+    assert residual(finite, infinite, contribs[1]) is None
     # the unbounded variable yields no candidate for x, but does for y
     res = propagate_candidates(C, t)
     (cand,) = res.changes
@@ -375,3 +391,116 @@ def test_row_stale_after_backjump_is_propagated_again():
     assert propagate_fixpoint(t, rows).num_changes == 0
     t.push_decision(1, BoundKind.UPPER, 0)
     assert propagate_fixpoint(t, rows).num_changes == 1 and t.local_lb[0] == 1
+
+
+# -- activity kernel -------------------------------------------------------------
+
+
+def reference_residual_max(C, skip, lb, ub):
+    """Max of sum over j != skip of a_j x_j within the bounds, or +inf."""
+    total = ZERO
+    for j, a in C.terms:
+        if j == skip:
+            continue
+        contrib = ext_mul(a, ub[j]) if a > 0 else ext_mul(a, lb[j])
+        total = ext_add(total, contrib)
+    return total
+
+
+def reference_candidates(C, trail, state=None):
+    """``propagate_candidates`` as it was before the activity kernel: the
+    whole row is summed again for every term's residual."""
+    if state is None:
+        lb, ub = trail.local_lb, trail.local_ub
+    else:
+        lb, ub = trail.bounds_at(state)
+    total = ZERO
+    for j, a in C.terms:
+        total = ext_add(total, ext_mul(a, ub[j]) if a > 0 else ext_mul(a, lb[j]))
+    if total < C.rhs:
+        return PropagationResult(True)
+    candidates = []
+    for j, a in C.terms:
+        rest = reference_residual_max(C, j, lb, ub)
+        if not is_finite(rest):
+            continue
+        pre = (C.rhs - rest) / a
+        var = trail.variables[j]
+        if a > 0:
+            value = frac_ceil(pre) if var.is_integral else pre
+            if value > lb[j]:
+                candidates.append(Candidate(j, BoundKind.LOWER, value, pre))
+        else:
+            value = frac_floor(pre) if var.is_integral else pre
+            if value < ub[j]:
+                candidates.append(Candidate(j, BoundKind.UPPER, value, pre))
+    return PropagationResult(False, tuple(candidates))
+
+
+def infinite_contributions(C, lb, ub):
+    return sum(
+        1 for j, a in C.terms if not is_finite(ub[j] if a > 0 else lb[j])
+    )
+
+
+@st.composite
+def rows_with_infinities(draw):
+    """Variables of every kind and a row over them with 0, 1 or at least 2
+    infinite max-activity contributions (``want`` of them)."""
+    want = draw(st.sampled_from([0, 1, 2, 3]))
+    n = draw(st.integers(min_value=max(want, 1), max_value=6))
+    coefs = [
+        F(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 3)))
+        for _ in range(n)
+    ]
+    unbounded = set(draw(st.permutations(range(n)))[:want])
+    variables = []
+    for j, a in enumerate(coefs):
+        kind = draw(st.sampled_from(list(VarKind)))
+        if j in unbounded and kind is VarKind.BINARY:
+            kind = VarKind.INTEGER
+        if kind is VarKind.BINARY:
+            lb, ub = F(0), F(1)
+        else:
+            lb = F(draw(st.integers(-3, 1)))
+            ub = lb + draw(st.integers(1, 4))
+            if kind is VarKind.CONTINUOUS:
+                lb -= F(draw(st.integers(0, 2)), 3)
+            if j in unbounded:
+                if a > 0:
+                    ub = INF
+                else:
+                    lb = NEG_INF
+            elif draw(st.booleans()):
+                # infinite on the side that leaves the max activity finite
+                if a > 0:
+                    lb = NEG_INF
+                else:
+                    ub = INF
+        variables.append(Variable(j, f"v{j}", kind, lb, ub))
+    C = mk(dict(enumerate(coefs)), F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))))
+    return variables, C, want
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_with_infinities(), st.data())
+def test_candidates_match_quadratic_reference(case, data):
+    """The O(1)-residual propagation deduces what the O(n^2) rescan did, at
+    the current state and at every earlier state of a trail of decisions."""
+    variables, C, want = case
+    t = Trail(variables)
+    assert infinite_contributions(C, t.local_lb, t.local_ub) == want
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        decision = draw_decision(data, t)
+        if decision is not None:
+            t.push_decision(*decision)
+    for state in [None, INITIAL_STATE] + t.states():
+        assert propagate_candidates(C, t, state) == reference_candidates(C, t, state)
+        lb, ub = (t.local_lb, t.local_ub) if state is None else t.bounds_at(state)
+        finite, infinite, contribs = activity(C, lb, ub)
+        assert infinite == infinite_contributions(C, lb, ub)
+        assert activity_bounds_max(C, lb, ub) == (INF if infinite else finite)
+        for (j, _), contrib in zip(C.terms, contribs):
+            rest = residual(finite, infinite, contrib)
+            expected = reference_residual_max(C, j, lb, ub)
+            assert rest == (expected if is_finite(expected) else None)

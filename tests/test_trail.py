@@ -167,3 +167,30 @@ def test_replay_rejects_state_mismatch():
         replay_trail(vs, [], [], "2 0 0 ub 0 dec\n")
     with pytest.raises(ValueError):
         replay_trail(vs, [], [], "1 0 0 ub 0 bogus:3\n")
+
+
+def test_reimported_modules_are_freed():
+    """A fresh import of the package leaves nothing alive once dropped: no
+    module-level ``typing`` alias over the package's classes keeps a copy
+    of them in typing's cache."""
+    import gc
+    import importlib
+    import sys
+    import weakref
+
+    def ours():
+        return [n for n in sys.modules if n == "cutlearn" or n.startswith("cutlearn.")]
+
+    loaded = {name: sys.modules.pop(name) for name in ours()}
+    try:
+        search = importlib.import_module("cutlearn.search")
+        trail = sys.modules["cutlearn.trail"]
+        assert trail.RowReason is not RowReason
+        refs = [weakref.ref(trail.RowReason), weakref.ref(search.LinearConstraint)]
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(loaded)
+    del search, trail
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
