@@ -2,8 +2,11 @@
 
 Feasibility, optima and learned-object validity are decided by exhaustive
 enumeration of the integral box combined with Fourier-Motzkin elimination of
-the continuous variables.  This module deliberately shares no propagation or
-cut code with the solver so it can certify the solver's output.
+the continuous variables.  The box is enumerated in ``int``s against rows
+scaled to integer coefficients, so a purely integral row costs an integer
+dot product per point; results are still exact ``Fraction``s.  This module
+deliberately shares no propagation or cut code with the solver so it can
+certify the solver's output.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import (
+    BoundAtom,
     BoundDisjunction,
     BoundKind,
     LinearConstraint,
@@ -130,51 +134,95 @@ def _check_size(problem: Problem) -> Tuple[List[int], List[int]]:
     return integral, continuous
 
 
-def _domains(problem: Problem, integral: List[int]):
-    for j in integral:
-        v = problem.variables[j]
-        lo, hi = int(v.global_lb), int(v.global_ub)
-        yield [Fraction(k) for k in range(lo, hi + 1)]
+class _Scaled(NamedTuple):
+    """``sum a_j x_j >= rhs`` over an integral box, scaled to integers.
 
-
-def _residual_system(
-    problem: Problem, assignment: Dict[int, Rat], continuous: List[int]
-) -> Optional[List[Row]]:
-    """Continuous-only rows after substituting an integral assignment.
-
-    Returns None if some purely integral row is already violated.
+    ``pairs`` holds ``(position, scale * a_j)`` for each integral term, where
+    position indexes the enumerated value tuple; ``rhs`` is ``scale * rhs``
+    and ``scale`` the lcm of the denominators of the integral coefficients
+    and the rhs.  ``cont`` keeps the continuous terms unscaled.
     """
-    rows: List[Row] = []
-    for C in problem.constraints:
-        coefs: Dict[int, Rat] = {}
-        rhs = C.rhs
-        for j, a in C.terms:
-            if j in assignment:
-                rhs -= a * assignment[j]
+
+    pairs: Tuple[Tuple[int, int], ...]
+    rhs: int
+    scale: int
+    cont: Dict[int, Rat]
+
+
+def _dot(pairs: Tuple[Tuple[int, int], ...], values: Tuple[int, ...]) -> int:
+    total = 0
+    for k, a in pairs:
+        total += a * values[k]
+    return total
+
+
+class _IntegralBox:
+    """The one enumeration core: the integral box of a problem in ``int``s.
+
+    Built once per oracle call, after the size checks.  Each model row is
+    scaled to integers once; a row without continuous terms is then checked
+    at every point by an integer dot product, and only rows with continuous
+    terms enter the residual system handed to Fourier-Motzkin.
+    """
+
+    def __init__(self, problem: Problem):
+        self.integral, self.continuous = _check_size(problem)
+        self.num_vars = len(problem.variables)
+        self.position = {j: k for k, j in enumerate(self.integral)}
+        self._checks: List[Tuple[Tuple[Tuple[int, int], ...], int]] = []
+        self._mixed: List[_Scaled] = []
+        for C in problem.constraints:
+            row = self.scale(C.terms, C.rhs)
+            if row.cont:
+                self._mixed.append(row)
             else:
-                coefs[j] = a
-        if not coefs:
-            if rhs > 0:
-                return None
-            continue
-        rows.append((coefs, rhs))
-    for j in continuous:
-        rows.extend(_var_range_rows(problem, j))
-    return rows
+                self._checks.append((row.pairs, row.rhs))
+        self._ranges = [
+            r for j in self.continuous for r in _var_range_rows(problem, j)
+        ]
+        self._domains = [
+            range(int(v.global_lb), int(v.global_ub) + 1)
+            for v in (problem.variables[j] for j in self.integral)
+        ]
+
+    def scale(self, terms: Sequence[Tuple[int, Rat]], rhs: Rat) -> _Scaled:
+        ints = [(self.position[j], a) for j, a in terms if j in self.position]
+        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in ints))
+        return _Scaled(
+            tuple((k, a.numerator * (scale // a.denominator)) for k, a in ints),
+            rhs.numerator * (scale // rhs.denominator),
+            scale,
+            {j: a for j, a in terms if j not in self.position},
+        )
+
+    def points(self) -> Iterator[Tuple[Tuple[int, ...], List[Row]]]:
+        """Each point satisfying every purely integral row, in
+        ``itertools.product`` order, with its residual continuous system:
+        the mixed rows in model order, then the continuous bound rows."""
+        checks, mixed, ranges = self._checks, self._mixed, self._ranges
+        for values in itertools.product(*self._domains):
+            for pairs, rhs in checks:
+                if _dot(pairs, values) < rhs:
+                    break
+            else:
+                residual = [
+                    (cont, Fraction(rhs - _dot(pairs, values), scale))
+                    for pairs, rhs, scale, cont in mixed
+                ]
+                yield values, residual + ranges
+
+    def assignment(self, values: Tuple[int, ...]) -> Dict[int, Rat]:
+        return {j: Fraction(x) for j, x in zip(self.integral, values)}
 
 
 def enumerate_feasible(problem: Problem) -> List[Dict[int, Rat]]:
     """All integral assignments that extend to a feasible point."""
-    integral, continuous = _check_size(problem)
-    feasible = []
-    for values in itertools.product(*_domains(problem, integral)):
-        assignment = dict(zip(integral, values))
-        rows = _residual_system(problem, assignment, continuous)
-        if rows is None:
-            continue
-        if _system_feasible(rows, continuous):
-            feasible.append(assignment)
-    return feasible
+    box = _IntegralBox(problem)
+    return [
+        box.assignment(values)
+        for values, rows in box.points()
+        if _system_feasible(rows, box.continuous)
+    ]
 
 
 def _back_substitute(
@@ -219,72 +267,42 @@ class OracleOptimum:
 
 def oracle_optimum(problem: Problem) -> OracleOptimum:
     """Exact minimum of the objective over the mixed-integer feasible set."""
-    integral, continuous = _check_size(problem)
-    objective = problem.objective_dict()
-    t = len(problem.variables)  # epigraph variable for the continuous part
+    box = _IntegralBox(problem)
+    objective = box.scale(problem.objective or (), ZERO)
+    t = box.num_vars  # epigraph variable for the continuous part
+    epi: Optional[Row] = None
+    if objective.cont:
+        epi = ({t: ONE, **{j: -c for j, c in objective.cont.items()}}, ZERO)
     best: Optional[Rat] = None
     best_witness: Optional[Tuple[Rat, ...]] = None
-    for values in itertools.product(*_domains(problem, integral)):
-        assignment = dict(zip(integral, values))
-        rows = _residual_system(problem, assignment, continuous)
-        if rows is None:
-            continue
-        int_part = sum(
-            (objective.get(j, ZERO) * assignment[j] for j in integral), ZERO
-        )
-        cont_obj = {j: objective[j] for j in continuous if objective.get(j)}
-        if cont_obj:
-            epi: Dict[int, Rat] = {t: ONE}
-            for j, c in cont_obj.items():
-                epi[j] = -c
-            work = rows + [(epi, ZERO)]
-        else:
-            work = list(rows)
+    for values, work in box.points():
+        if epi is not None:
+            work.append(epi)
         stages: List[Tuple[int, List[Row]]] = []
-        for v in continuous:
+        for v in box.continuous:
             stages.append((v, work))
             work = fm_eliminate(work, v)
         if any(rhs > 0 for coefs, rhs in work if not coefs):
             continue
-        if cont_obj:
+        value = Fraction(_dot(objective.pairs, values), objective.scale)
+        if epi is not None:
             t_lb: Optional[Rat] = None
-            unbounded = True
             for coefs, rhs in work:
                 a = coefs.get(t, ZERO)
                 if a > 0:
-                    unbounded = False
                     bound = rhs / a
                     t_lb = bound if t_lb is None or bound > t_lb else t_lb
-            if unbounded or t_lb is None:
+            if t_lb is None:
                 raise OracleError("continuous objective part is unbounded below")
-            value = int_part + t_lb
-            fixed = dict(assignment)
-            fixed[t] = t_lb
-        else:
-            value = int_part
-            fixed = dict(assignment)
+            value += t_lb
         if best is None or value < best:
+            fixed = box.assignment(values)
+            if epi is not None:
+                fixed[t] = t_lb
             point = _back_substitute(stages, fixed)
             best = value
-            best_witness = tuple(
-                point[j] for j in range(len(problem.variables))
-            )
+            best_witness = tuple(point[j] for j in range(box.num_vars))
     if best is None:
-        if not objective and not integral:
-            # Pure-continuous feasibility question.
-            rows = _residual_system(problem, {}, continuous)
-            if rows is not None and _system_feasible(rows, continuous):
-                stages = []
-                work = list(rows)
-                for v in continuous:
-                    stages.append((v, work))
-                    work = fm_eliminate(work, v)
-                point = _back_substitute(stages, {})
-                return OracleOptimum(
-                    "optimal",
-                    ZERO,
-                    tuple(point[j] for j in range(len(problem.variables))),
-                )
         return OracleOptimum("infeasible")
     return OracleOptimum("optimal", best, best_witness)
 
@@ -293,117 +311,85 @@ def validate_learned(
     problem: Problem, learned: Union[LinearConstraint, BoundDisjunction]
 ) -> bool:
     """True iff every feasible point of the problem satisfies the object."""
-    integral, continuous = _check_size(problem)
+    box = _IntegralBox(problem)
     if isinstance(learned, LinearConstraint):
-        return _validate_row(problem, learned, integral, continuous)
-    return _validate_disjunction(problem, learned, integral, continuous)
+        return _validate_row(box, learned)
+    return _validate_disjunction(box, learned)
 
 
-def _validate_row(
-    problem: Problem,
-    learned: LinearConstraint,
-    integral: List[int],
-    continuous: List[int],
-) -> bool:
-    t = len(problem.variables)  # value of the learned row's continuous part
-    cont_terms = {j: a for j, a in learned.terms if j in set(continuous)}
-    for values in itertools.product(*_domains(problem, integral)):
-        assignment = dict(zip(integral, values))
-        rows = _residual_system(problem, assignment, continuous)
-        if rows is None:
-            continue
-        int_lhs = sum(
-            (a * assignment[j] for j, a in learned.terms if j in assignment),
-            ZERO,
-        )
-        if not cont_terms:
-            if not _system_feasible(rows, continuous):
-                continue
-            if int_lhs < learned.rhs:
+def _validate_row(box: _IntegralBox, learned: LinearConstraint) -> bool:
+    row = box.scale(learned.terms, learned.rhs)
+    t = box.num_vars  # value of the learned row's continuous part
+    # Pin t to the continuous part with two opposite rows, project
+    # everything else out, and read off the implied minimum of t.
+    pin = [
+        ({t: ONE, **{j: -a for j, a in row.cont.items()}}, ZERO),
+        ({t: -ONE, **row.cont}, ZERO),
+    ]
+    for values, rows in box.points():
+        lhs = _dot(row.pairs, values)
+        if not row.cont:
+            if _system_feasible(rows, box.continuous) and lhs < row.rhs:
                 return False
             continue
-        # Pin t to the continuous part with two opposite rows, project
-        # everything else out, and read off the implied minimum of t.
-        eq_up: Dict[int, Rat] = {t: ONE}
-        eq_dn: Dict[int, Rat] = {t: -ONE}
-        for j, a in cont_terms.items():
-            eq_up[j] = -a
-            eq_dn[j] = a
-        work = rows + [(eq_up, ZERO), (eq_dn, ZERO)]
-        for v in continuous:
+        work = rows + pin
+        for v in box.continuous:
             work = fm_eliminate(work, v)
         if any(rhs > 0 for coefs, rhs in work if not coefs):
             continue
         t_min: Optional[Rat] = None
-        bounded = False
         for coefs, rhs in work:
             a = coefs.get(t, ZERO)
             if a > 0:
-                bounded = True
                 bound = rhs / a
                 t_min = bound if t_min is None or bound > t_min else t_min
-        if not bounded:
+        if t_min is None:
             return False  # continuous part can be arbitrarily negative
-        if int_lhs + t_min < learned.rhs:
+        if lhs + row.scale * t_min < row.rhs:
             return False
     return True
 
 
-def _validate_disjunction(
-    problem: Problem,
-    learned: BoundDisjunction,
-    integral: List[int],
-    continuous: List[int],
-) -> bool:
-    integral_set = set(integral)
-    s = len(problem.variables)  # strictness margin for continuous negations
-    for values in itertools.product(*_domains(problem, integral)):
-        assignment = dict(zip(integral, values))
-        rows = _residual_system(problem, assignment, continuous)
-        if rows is None:
-            continue
-        # Negate every atom; a violating point must defeat all of them.
-        neg_rows: List[Row] = []
-        decided_false = True
-        skip = False
-        for atom in learned.atoms:
-            if atom.var in integral_set:
-                x = assignment[atom.var]
-                if atom.kind is BoundKind.LOWER:
-                    holds = x >= atom.value
-                else:
-                    holds = x <= atom.value
-                if holds:
-                    skip = True  # the assignment satisfies the disjunction
-                    break
-            else:
-                decided_false = False
-                if atom.kind is BoundKind.LOWER:
-                    # not (x >= v): x <= v - s with margin s > 0
-                    neg_rows.append(({atom.var: -ONE, s: -ONE}, -atom.value))
-                else:
-                    neg_rows.append(({atom.var: ONE, s: -ONE}, atom.value))
-        if skip:
-            continue
-        if decided_false:
+def _validate_disjunction(box: _IntegralBox, learned: BoundDisjunction) -> bool:
+    s = box.num_vars  # strictness margin for continuous negations
+    # Negate every continuous atom; a violating point must defeat all of them.
+    integral_atoms: List[Tuple[int, BoundAtom]] = []
+    neg_rows: List[Row] = []
+    for atom in learned.atoms:
+        if atom.var in box.position:
+            integral_atoms.append((box.position[atom.var], atom))
+        elif atom.kind is BoundKind.LOWER:
+            # not (x >= v): x <= v - s with margin s > 0
+            neg_rows.append(({atom.var: -ONE, s: -ONE}, -atom.value))
+        else:
+            neg_rows.append(({atom.var: ONE, s: -ONE}, atom.value))
+    if neg_rows:
+        neg_rows.append(({s: ONE}, ZERO))
+    for values, rows in box.points():
+        if any(
+            values[k] >= atom.value
+            if atom.kind is BoundKind.LOWER
+            else values[k] <= atom.value
+            for k, atom in integral_atoms
+        ):
+            continue  # the assignment satisfies the disjunction
+        if not neg_rows:
             # All atoms integral and all false at this assignment: it must
             # not be feasible.
-            if _system_feasible(rows, continuous):
+            if _system_feasible(rows, box.continuous):
                 return False
             continue
-        work = rows + neg_rows + [({s: ONE}, ZERO)]
-        for v in continuous:
+        work = rows + neg_rows
+        for v in box.continuous:
             work = fm_eliminate(work, v)
         if any(rhs > 0 for coefs, rhs in work if not coefs):
             continue
         s_max: Optional[Rat] = None
-        bounded = False
         for coefs, rhs in work:
             a = coefs.get(s, ZERO)
             if a < 0:
-                bounded = True
                 bound = rhs / a
                 s_max = bound if s_max is None or bound < s_max else s_max
-        if not bounded or s_max is None or s_max > 0:
+        if s_max is None or s_max > 0:
             return False
     return True

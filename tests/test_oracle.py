@@ -1,6 +1,8 @@
 """The enumeration/projection oracle against direct brute force."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,19 +12,25 @@ from cutlearn.model import (
     BoundAtom,
     BoundDisjunction,
     BoundKind,
+    LinearConstraint,
     Variable,
     VarKind,
     build_problem,
     evaluate,
 )
 from cutlearn.oracle import (
+    FM_ROW_CAP,
+    MAX_ASSIGNMENTS,
     OracleError,
+    OracleOptimum,
     enumerate_feasible,
     fm_eliminate,
     oracle_optimum,
     validate_learned,
 )
+from cutlearn.rationals import INF, NEG_INF
 
+import oracle_reference as ref
 from conftest import F, binary_problem, binary_vars, mk
 
 coefs = st.integers(min_value=-3, max_value=3)
@@ -91,16 +99,46 @@ def test_enumerate_mixed_continuous():
     assert enumerate_feasible(p) == [{0: F(1)}]
 
 
-def test_size_caps():
+def _fm_blowup_problem():
+    """One binary and one continuous y with n rows y >= -k and n rows
+    -y >= -100 - k: eliminating y pairs them into n * n > FM_ROW_CAP rows."""
+    n = math.isqrt(FM_ROW_CAP) + 1
     vs = [
-        Variable(i, f"z{i}", VarKind.INTEGER, F(0), F(1000))
-        for i in range(5)
+        Variable(0, "x", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "y", VarKind.CONTINUOUS, F(0), F(200)),
     ]
-    with pytest.raises(OracleError):
-        enumerate_feasible(build_problem(vs, []))
-    free = [Variable(0, "z", VarKind.INTEGER, float("-inf"), F(0))]
-    with pytest.raises(OracleError):
-        enumerate_feasible(build_problem(free, []))
+    rows = [({1: F(1)}, ">=", F(-k)) for k in range(n)]
+    rows += [({1: F(-1)}, ">=", F(-100 - k)) for k in range(n)]
+    return build_problem(vs, rows)
+
+
+def test_size_caps():
+    wide = [
+        Variable(i, f"z{i}", VarKind.INTEGER, F(0), F(1000)) for i in range(5)
+    ]
+    continuous = [
+        Variable(i, f"y{i}", VarKind.CONTINUOUS, F(0), F(1)) for i in range(7)
+    ]
+    free = [Variable(0, "z", VarKind.INTEGER, NEG_INF, F(0))]
+    refusals = [
+        (binary_problem(21, []), "21 integral variables exceed"),
+        (build_problem(continuous, []), "7 continuous variables exceed"),
+        (build_problem(wide, []), f"larger than {MAX_ASSIGNMENTS} assignments"),
+        (build_problem(free, []), "'z' has an infinite domain"),
+        (_fm_blowup_problem(), "Fourier-Motzkin blowup"),
+    ]
+    learned = [
+        mk({0: 1}, 0),
+        BoundDisjunction((BoundAtom(0, BoundKind.LOWER, F(1)),)),
+    ]
+    for problem, match in refusals:
+        with pytest.raises(OracleError, match=match):
+            oracle_optimum(problem)
+        with pytest.raises(OracleError, match=match):
+            enumerate_feasible(problem)
+        for obj in learned:
+            with pytest.raises(OracleError, match=match):
+                validate_learned(problem, obj)
 
 
 # -- optimization -------------------------------------------------------------
@@ -207,3 +245,117 @@ def test_validate_disjunction_continuous_atom():
 def test_validate_on_infeasible_problem_is_vacuous():
     p = binary_problem(1, [({0: 1}, 1), ({0: -1}, 0)])
     assert validate_learned(p, mk({0: 1}, 5))
+
+
+# -- the integer-scaled core against the Fraction-per-term reference ----------
+
+fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+nonzero_fracs = fracs.filter(bool)
+
+
+@st.composite
+def _linear_terms(draw, indices):
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True)) if indices else []
+    return {j: draw(nonzero_fracs) for j in chosen}
+
+
+@st.composite
+def oracle_cases(draw):
+    """A problem with up to 3 binary or general-integer variables (negative
+    lower bounds included) and up to 3 continuous ones in any index order,
+    fractional rows and objective, a learned row and a disjunction."""
+    kinds = draw(
+        st.lists(
+            st.sampled_from(
+                [VarKind.BINARY, VarKind.INTEGER, VarKind.CONTINUOUS]
+            ),
+            min_size=1,
+            max_size=6,
+        ).filter(
+            lambda ks: sum(k is VarKind.CONTINUOUS for k in ks) <= 3
+            and sum(k is not VarKind.CONTINUOUS for k in ks) <= 3
+        )
+    )
+    variables = []
+    for i, kind in enumerate(kinds):
+        if kind is VarKind.BINARY:
+            lb, ub = F(0), F(1)
+        elif kind is VarKind.INTEGER:
+            lb = F(draw(st.integers(-2, 1)))
+            ub = lb + draw(st.integers(0, 2))
+        else:
+            lb = draw(st.one_of(st.just(NEG_INF), fracs))
+            if draw(st.booleans()):
+                ub = INF
+            elif lb == NEG_INF:
+                ub = draw(fracs)
+            else:
+                ub = lb + abs(draw(fracs))
+        variables.append(Variable(i, f"v{i}", kind, lb, ub))
+    indices = list(range(len(variables)))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                _linear_terms(indices), st.sampled_from([">=", "="]), fracs
+            ),
+            max_size=4,
+        )
+    )
+    objective = draw(st.one_of(st.none(), _linear_terms(indices)))
+    problem = build_problem(variables, rows, objective)
+    # A random row, or a model row with a lowered rhs (so often implied).
+    learned = LinearConstraint.from_dict(
+        draw(_linear_terms(indices)), draw(fracs)
+    )
+    if problem.constraints and draw(st.booleans()):
+        row = draw(st.sampled_from(problem.constraints))
+        learned = LinearConstraint.from_dict(
+            dict(row.terms), row.rhs - abs(draw(fracs))
+        )
+    disjunction = None
+    if indices:
+        atoms = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(indices),
+                    st.sampled_from([BoundKind.LOWER, BoundKind.UPPER]),
+                ),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        disjunction = BoundDisjunction(
+            tuple(BoundAtom(j, kind, draw(fracs)) for j, kind in atoms)
+        )
+    return problem, learned, disjunction
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OracleError as exc:
+        return ("refused", str(exc))
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_integer_core_matches_fraction_reference(case):
+    problem, learned, disjunction = case
+    got = _outcome(oracle_optimum, problem)
+    assert got == _outcome(ref.oracle_optimum, problem)
+    if isinstance(got, OracleOptimum) and got.status == "optimal":
+        assert _all_fractions((got.value, *got.witness))
+    feasible = _outcome(enumerate_feasible, problem)
+    assert feasible == _outcome(ref.enumerate_feasible, problem)
+    if isinstance(feasible, list):
+        assert all(_all_fractions(a.values()) for a in feasible)
+    for obj in (learned, disjunction):
+        if obj is not None:
+            assert _outcome(validate_learned, problem, obj) == _outcome(
+                ref.validate_learned, problem, obj
+            )
