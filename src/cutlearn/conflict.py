@@ -11,8 +11,7 @@ the implication graph instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .cuts import (
@@ -32,9 +31,13 @@ from .model import (
     LinearConstraint,
     Variable,
     VarKind,
+    complement,
+    denormalize,
+    literal_variables,
+    normalize_for_reduction,
 )
 from .propagation import is_tight_propagation
-from .rationals import INF, ONE, ZERO, is_finite
+from .rationals import ONE
 from .trail import (
     INITIAL_STATE,
     BoundChange,
@@ -298,7 +301,11 @@ def resolve_general_integer(
     state: StateId,
 ) -> Union[Resolved, SeparationCut, Failed]:
     """Resolve a general-integer bound change, separating with a rounding cut
-    if plain resolution leaves the resolvent feasible."""
+    if plain resolution leaves the resolvent feasible.
+
+    The cut is the MIR cut of the reason in literal space, where every
+    variable lies on [0, ub - lb], mapped back to the original variables.
+    """
     variables = trail.variables
     lb, ub = trail.bounds_at(state)
     try:
@@ -307,67 +314,12 @@ def resolve_general_integer(
         return FAILED
     if activity_bounds_max(plain, lb, ub) < plain.rhs:
         return Resolved(plain)
-
-    # Shift/complement every variable of the reason to a 0-based literal,
-    # normalize the coefficient on x_r's literal to 1, and apply the
-    # mixed integer rounding cut.
-    work = C_reason
-    shifted: List[Tuple[int, Fraction]] = []
-    complemented: List[int] = []
-    for j, a in C_reason.terms:
-        v = variables[j]
-        if a > 0:
-            if not is_finite(v.global_lb):
-                return FAILED
-            if v.global_lb != 0:
-                shifted.append((j, Fraction(v.global_lb)))
-        else:
-            if not is_finite(v.global_ub):
-                return FAILED
-            complemented.append(j)
-    terms = work.as_dict()
-    rhs = work.rhs
-    for j, off in shifted:
-        rhs -= terms[j] * off
-    for j in complemented:
-        rhs -= terms[j] * Fraction(variables[j].global_ub)
-        terms[j] = -terms[j]
-    work = LinearConstraint.from_dict(terms, rhs, "derived")
-    a_r = work.coef(x_r)
-    if a_r <= 0:
-        return FAILED
-    work = work.scaled(ONE / a_r)
-
-    # Literal-space bounds: shifted and complemented variables both live on
-    # [0, ub - lb], so lb 0 holds for MIR.
-    lit_vars = list(variables)
-    for j, _ in work.terms:
-        v = variables[j]
-        width = (
-            v.global_ub - v.global_lb
-            if is_finite(v.global_ub) and is_finite(v.global_lb)
-            else INF
-        )
-        lit_vars[j] = replace(v, global_lb=ZERO, global_ub=width)
     try:
-        cut = mir_cut(work, lit_vars)
-    except CutError:
-        return FAILED
-
-    # Map back to original variable space.
-    terms = cut.as_dict()
-    rhs = cut.rhs
-    for j in complemented:
-        if j in terms:
-            rhs -= terms[j] * Fraction(variables[j].global_ub)
-            terms[j] = -terms[j]
-    for j, off in shifted:
-        if j in terms:
-            rhs += terms[j] * off
-    reduced = LinearConstraint.from_dict(terms, rhs, "derived")
-    try:
+        norm, record = normalize_for_reduction(C_reason, x_r, variables)
+        cut = mir_cut(norm, literal_variables(norm, variables))
+        reduced = denormalize(cut, record, variables)
         res = resolve(C_learn, reduced, x_r)
-    except CutError:
+    except ValueError:  # CutError is a ValueError
         return FAILED
     if activity_bounds_max(res, lb, ub) < res.rhs:
         return SeparationCut(reduced)
@@ -688,15 +640,13 @@ def graph_fallback(
 
     backjump = _fallback_backjump(trail, atoms_src)
     if all(variables[a.var].kind is VarKind.BINARY for a in atoms):
-        terms = {}
-        rhs = ONE
-        for a in atoms:
-            if a.kind is BoundKind.LOWER:  # atom x >= 1
-                terms[a.var] = ONE
-            else:  # atom x <= 0
-                terms[a.var] = -ONE
-                rhs -= ONE
-        clause = LinearConstraint.from_dict(terms, rhs, "learned:graph")
+        # The clause over the atoms' literals: x for x >= 1, 1 - x for x <= 0.
+        clause = complement(
+            LinearConstraint.from_dict({a.var: ONE for a in atoms}, ONE),
+            [a.var for a in atoms if a.kind is BoundKind.UPPER],
+            variables,
+        )
+        clause = LinearConstraint(clause.terms, clause.rhs, "learned:graph")
         return AnalysisResult(
             "learned",
             constraint=clause,

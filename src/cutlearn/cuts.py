@@ -2,31 +2,29 @@
 
 The reduction entry points expect a reason constraint that propagates the
 resolved variable; they normalize it to unit coefficient on the resolved
-literal with nonnegative coefficients elsewhere, work in that literal space,
-and map the result back to original variables.
+literal with nonnegative coefficients elsewhere, apply the operators below in
+that literal space, and map the result back to original variables.  A binary
+variable is its own literal on [0, 1], so the operators take the model's
+variables unchanged there.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .model import (
     LinearConstraint,
     SubstitutionRecord,
     Variable,
     VarKind,
+    complement,
     denormalize,
     normalize_for_reduction,
 )
 from .rationals import (
-    Ext,
-    Rat,
     ZERO,
     ONE,
-    ext_mul,
     frac_ceil,
     frac_floor,
     frac_part,
@@ -88,27 +86,13 @@ def weaken(
     return LinearConstraint.from_dict(terms, C.rhs - a * bound, "derived")
 
 
-def saturate(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:
-    """Clip every coefficient to the rhs (binary, nonnegative, rhs > 0)."""
-    if C.rhs <= 0:
-        raise CutError("saturation requires a positive right-hand side")
-    for j, a in C.terms:
-        if variables[j].kind is not VarKind.BINARY:
-            raise CutError("saturation requires binary variables")
-        if a < 0:
-            raise CutError("saturation requires nonnegative coefficients")
-    return LinearConstraint.from_dict(
-        {j: min(a, C.rhs) for j, a in C.terms}, C.rhs, "derived"
-    )
-
-
 def coef_tighten(
     C: LinearConstraint, variables: Sequence[Variable]
 ) -> LinearConstraint:
     """Clip integer-variable coefficients towards b - minact (global bounds).
 
     Continuous terms are untouched.  On 0/1 rows with nonnegative
-    coefficients this coincides with saturation.
+    coefficients this is saturation: every coefficient is clipped to the rhs.
     """
     minact = global_min_activity(C, variables)
     if minact >= C.rhs:
@@ -170,60 +154,33 @@ def mir_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstra
 # -- reason reductions (pure binary, Assumption-1 form) ----------------------
 
 
-@dataclass(frozen=True)
-class NormalizedReason:
-    """Reason in literal space: unit coefficient on r, others >= 0."""
-
-    constraint: LinearConstraint
-    record: SubstitutionRecord
-    r: int
-
-
-def normalize_reason(
-    C: LinearConstraint, r: int, variables: Sequence[Variable]
-) -> NormalizedReason:
-    norm, record = normalize_for_reduction(C, r, variables)
-    return NormalizedReason(norm, record, r)
-
-
-def _literal_local_ub(
-    j: int, record: SubstitutionRecord, lb: Sequence[Ext], ub: Sequence[Ext]
-) -> Ext:
-    """Local upper bound of the (possibly complemented) binary literal j."""
-    if j in record.complemented_set:
-        return 1 - lb[j]
-    return ub[j]
-
-
-def _check_binary_support(
-    norm: NormalizedReason, variables: Sequence[Variable]
-) -> None:
-    for j, _ in norm.constraint.terms:
+def _literal_reason(
+    C_reason: LinearConstraint, r: int, trail: Trail, state: StateId
+) -> Tuple[LinearConstraint, SubstitutionRecord, List[int]]:
+    """Return the reason in literal space, its record and P: the literals
+    other than r whose local upper bound at ``state`` is 1 (not fixed at 0)."""
+    variables = trail.variables
+    for j, _ in C_reason.terms:
         if variables[j].kind is not VarKind.BINARY:
             raise ReductionError("binary reduction applied to a non-binary reason")
-
-
-def _propagation_gap(
-    norm: NormalizedReason, trail: Trail, state: StateId
-) -> Tuple[Rat, List[int], List[int]]:
-    """Return (btilde, P, others) for the literal-space reason at ``state``.
-
-    btilde = b - sum_{j in P} a_j where P holds the literals with local upper
-    bound 1; it equals the pre-rounding bound propagated for the r-literal.
-    """
+    norm, record = normalize_for_reduction(C_reason, r, variables)
     lb, ub = trail.bounds_at(state)
-    P: List[int] = []
-    others: List[int] = []
-    btilde = norm.constraint.rhs
-    for j, a in norm.constraint.terms:
-        if j == norm.r:
-            continue
-        if _literal_local_ub(j, norm.record, lb, ub) == 1:
-            P.append(j)
-            btilde -= a
-        else:
-            others.append(j)
-    return btilde, P, others
+    P = [
+        j
+        for j, _ in norm.terms
+        if j != r and record.literal_ub(j, lb, ub, variables) == 1
+    ]
+    return norm, record, P
+
+
+def _check_gap(norm: LinearConstraint, P: List[int]) -> None:
+    """Require a fractional propagation gap b - sum_{j in P} a_j in (0, 1):
+    the pre-rounding bound the literal-space reason propagates for r."""
+    btilde = norm.rhs - sum((norm.coef(j) for j in P), ZERO)
+    if is_integral(btilde):
+        raise ReductionError("reason propagates tightly; nothing to reduce")
+    if not (0 < btilde < 1):
+        raise ReductionError(f"reason does not propagate the literal (gap {btilde})")
 
 
 def reduce_clause(
@@ -233,18 +190,11 @@ def reduce_clause(
     state: StateId,
 ) -> LinearConstraint:
     """Clause over the resolved literal and the falsified literals (cover cut)."""
-    variables = trail.variables
-    norm = normalize_reason(C_reason, r, variables)
-    _check_binary_support(norm, variables)
-    lb, ub = trail.bounds_at(state)
-    terms = {norm.r: ONE}
-    for j, _ in norm.constraint.terms:
-        if j == norm.r:
-            continue
-        if _literal_local_ub(j, norm.record, lb, ub) == 0:
-            terms[j] = ONE
-    clause = LinearConstraint.from_dict(terms, ONE, "derived")
-    return denormalize(clause, norm.record, variables)
+    norm, record, P = _literal_reason(C_reason, r, trail, state)
+    clause = LinearConstraint.from_dict(
+        {j: ONE for j, _ in norm.terms if j not in P}, ONE, "derived"
+    )
+    return denormalize(clause, record, trail.variables)
 
 
 def reduce_coeftight(
@@ -263,22 +213,12 @@ def reduce_coeftight(
     variables = trail.variables
     if _resolvent_infeasible(C_reason, C_confl, r, trail, state):
         return C_reason
-    norm = normalize_reason(C_reason, r, variables)
-    _check_binary_support(norm, variables)
-    _, P, _ = _propagation_gap(norm, trail, state)
-    work = norm.constraint
-    for j in sorted(P):
-        # Literal bounds are [0,1]; weakening pays a_j on the rhs.
-        terms = work.as_dict()
-        a = terms.pop(j)
-        work = LinearConstraint.from_dict(terms, work.rhs - a, "derived")
-    minact = ZERO  # all literal coefficients nonnegative, literal lb 0
-    if work.rhs > minact:
-        btilde = work.rhs - minact
-        work = LinearConstraint.from_dict(
-            {j: min(a, btilde) for j, a in work.terms}, work.rhs, "derived"
-        )
-    reduced = denormalize(work, norm.record, variables).canonical_scale()
+    work, record, P = _literal_reason(C_reason, r, trail, state)
+    for j in P:
+        work = weaken(work, j, variables)
+    if work.rhs > 0:
+        work = coef_tighten(work, variables)
+    reduced = denormalize(work, record, variables).canonical_scale()
     if _resolvent_infeasible(reduced, C_confl, r, trail, state):
         return reduced
     raise ReductionError(
@@ -294,29 +234,10 @@ def reduce_cmir(
 ) -> LinearConstraint:
     """Complement the locally-unfixed literals, apply MIR, complement back."""
     variables = trail.variables
-    norm = normalize_reason(C_reason, r, variables)
-    _check_binary_support(norm, variables)
-    btilde, P, others = _propagation_gap(norm, trail, state)
-    if is_integral(btilde):
-        raise ReductionError("reason propagates tightly; nothing to reduce")
-    if not (0 < btilde < 1):
-        raise ReductionError(f"reason does not propagate the literal (gap {btilde})")
-    f = frac_part(btilde)
-
-    def psi(a: Rat) -> Rat:
-        return frac_floor(a) + min(ONE, frac_part(a) / f)
-
-    terms = {norm.r: ONE}
-    rhs = ONE
-    C = norm.constraint
-    for j in others:
-        terms[j] = psi(C.coef(j))
-    for j in P:
-        val = psi(-C.coef(j))
-        terms[j] = -val
-        rhs -= val
-    out = LinearConstraint.from_dict(terms, rhs, "derived")
-    return denormalize(out, norm.record, variables)
+    norm, record, P = _literal_reason(C_reason, r, trail, state)
+    _check_gap(norm, P)
+    cut = mir_cut(complement(norm, P, variables), variables)
+    return denormalize(complement(cut, P, variables), record, variables)
 
 
 def reduce_wmir(
@@ -327,29 +248,12 @@ def reduce_wmir(
 ) -> LinearConstraint:
     """Weaken the fractional unfixed literals, then apply MIR."""
     variables = trail.variables
-    norm = normalize_reason(C_reason, r, variables)
-    _check_binary_support(norm, variables)
-    btilde, P, others = _propagation_gap(norm, trail, state)
-    if is_integral(btilde):
-        raise ReductionError("reason propagates tightly; nothing to reduce")
-    if not (0 < btilde < 1):
-        raise ReductionError(f"reason does not propagate the literal (gap {btilde})")
-    C = norm.constraint
-    p_w = [j for j in P if not is_integral(C.coef(j))]
-    p_z = [j for j in P if is_integral(C.coef(j))]
-    rhs0 = C.rhs - sum((C.coef(j) for j in p_w), ZERO)
-    f = frac_part(rhs0)
-
-    def psi_w(a: Rat) -> Rat:
-        return frac_floor(a) + min(ONE, frac_part(a) / f)
-
-    terms = {norm.r: ONE}
-    for j in p_z:
-        terms[j] = C.coef(j)
-    for j in others:
-        terms[j] = psi_w(C.coef(j))
-    out = LinearConstraint.from_dict(terms, frac_ceil(rhs0), "derived")
-    return denormalize(out, norm.record, variables)
+    work, record, P = _literal_reason(C_reason, r, trail, state)
+    _check_gap(work, P)
+    for j in P:
+        if not is_integral(work.coef(j)):
+            work = weaken(work, j, variables)
+    return denormalize(mir_cut(work, variables), record, variables)
 
 
 def _resolvent_infeasible(

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .rationals import (
     Ext,
@@ -19,7 +19,8 @@ from .rationals import (
     Rat,
     ZERO,
     ONE,
-    ext_mul,
+    ext_add,
+    ext_neg,
     is_finite,
     is_integral,
 )
@@ -264,58 +265,95 @@ def build_problem(
 
 @dataclass(frozen=True)
 class SubstitutionRecord:
-    """How a constraint was normalized: complemented variables and the divisor.
+    """How a constraint was brought to literal space.
 
-    A complemented index j means the normalized constraint's coefficient on j
-    applies to the literal ub_j - x_j instead of x_j.
+    The normalized constraint's coefficient on a complemented index j applies
+    to the literal ub_j - x_j, on a shifted index to x_j - lb_j, and on any
+    other index to x_j itself; every literal lies on [0, ub_j - lb_j].  The
+    constraint was then divided by ``divisor``.
     """
 
     complemented: Tuple[int, ...]
+    shifted: Tuple[int, ...]
     divisor: Rat
 
-    @property
-    def complemented_set(self) -> frozenset:
-        return frozenset(self.complemented)
+    def literal_ub(
+        self,
+        j: int,
+        lb: Sequence[Ext],
+        ub: Sequence[Ext],
+        variables: Sequence[Variable],
+    ) -> Ext:
+        """Upper bound of j's literal in the box [lb, ub]."""
+        v = variables[j]
+        if j in self.complemented:
+            return ext_add(v.global_ub, ext_neg(lb[j]))
+        return ext_add(ub[j], ext_neg(v.global_lb))
 
 
-def complement_term(
-    C: LinearConstraint, var: int, variables: Sequence[Variable]
+def _substitute(
+    C: LinearConstraint,
+    complemented: Iterable[int],
+    shifted: Iterable[int],
+    sign: int,
+    variables: Sequence[Variable],
 ) -> LinearConstraint:
-    """Rewrite the term on ``var`` against the literal ub - x (pure coefficient surgery).
-
-    The caller is responsible for tracking which indices are in literal form.
-    """
-    a = C.coef(var)
-    if a == 0:
-        raise ValueError(f"variable {var} not in constraint")
-    ub = variables[var].global_ub
-    if not is_finite(ub):
-        raise ValueError(f"cannot complement variable {var} with infinite upper bound")
+    """Complement C's terms on ``complemented`` (x -> ub - x) and shift its
+    terms on ``shifted`` by ``sign`` times the lower bound (x -> x - lb for
+    sign 1, back for sign -1).  Indices absent from C are skipped."""
     terms = C.as_dict()
-    terms[var] = -a
-    return LinearConstraint.from_dict(terms, C.rhs - a * ub, "derived")
+    rhs = C.rhs
+    for j in complemented:
+        a = terms.get(j)
+        if a is None:
+            continue
+        ub = variables[j].global_ub
+        if not is_finite(ub):
+            raise ValueError(f"cannot complement variable {j} with infinite upper bound")
+        terms[j] = -a
+        rhs -= a * ub
+    for j in shifted:
+        a = terms.get(j)
+        if a is None:
+            continue
+        lb = variables[j].global_lb
+        if not is_finite(lb):
+            raise ValueError(f"cannot shift variable {j} with infinite lower bound")
+        rhs -= sign * a * lb
+    return LinearConstraint.from_dict(terms, rhs, "derived")
+
+
+def complement(
+    C: LinearConstraint, js: Iterable[int], variables: Sequence[Variable]
+) -> LinearConstraint:
+    """Rewrite C's terms on ``js`` against the literals ub - x.
+
+    Indices absent from C are skipped, so the call is its own inverse.  The
+    caller is responsible for tracking which indices are in literal form.
+    """
+    return _substitute(C, js, (), 1, variables)
 
 
 def normalize_for_reduction(
     C: LinearConstraint, r: int, variables: Sequence[Variable]
 ) -> Tuple[LinearConstraint, SubstitutionRecord]:
-    """Bring C to the form: unit coefficient on the r-literal, all others >= 0.
+    """Bring C to literal space: unit coefficient on the r-literal, all others >= 0.
 
     Every variable with a negative coefficient (possibly including r itself)
-    is complemented, then the row is divided by the resulting coefficient on
-    r.  The record maps results back to original variable space.
+    is complemented, every other one with a nonzero lower bound is shifted
+    to x - lb, then the row is divided by the resulting coefficient on r.
+    The record maps results back to original variable space.
     """
     if C.coef(r) == 0:
         raise ValueError(f"resolved variable {r} has zero coefficient")
-    work = C
-    complemented = []
-    for j, c in C.terms:
-        if c < 0:
-            work = complement_term(work, j, variables)
-            complemented.append(j)
+    complemented = tuple(j for j, c in C.terms if c < 0)
+    shifted = tuple(
+        j for j, c in C.terms if c > 0 and variables[j].global_lb != 0
+    )
+    work = _substitute(C, complemented, shifted, 1, variables)
     divisor = work.coef(r)
     work = work.scaled(ONE / divisor)
-    return work, SubstitutionRecord(tuple(complemented), divisor)
+    return work, SubstitutionRecord(complemented, shifted, divisor)
 
 
 def denormalize(
@@ -323,14 +361,23 @@ def denormalize(
 ) -> LinearConstraint:
     """Map a constraint in the record's literal space back to original variables.
 
-    Only complementation is undone; positive scaling is an equivalence and is
-    kept as-is.
+    Complementation and shifts are undone; positive scaling is an
+    equivalence and is kept as-is.
     """
-    work = C
-    for j in record.complemented:
-        if work.coef(j) != 0:
-            work = complement_term(work, j, variables)
+    work = _substitute(C, record.complemented, record.shifted, -1, variables)
     return LinearConstraint(work.terms, work.rhs, C.origin)
+
+
+def literal_variables(
+    C: LinearConstraint, variables: Sequence[Variable]
+) -> List[Variable]:
+    """The variables, with each of C's on its literal domain [0, ub - lb]."""
+    out = list(variables)
+    for j, _ in C.terms:
+        v = variables[j]
+        width = ext_add(v.global_ub, ext_neg(v.global_lb))
+        out[j] = replace(v, global_lb=ZERO, global_ub=width)
+    return out
 
 
 @dataclass(frozen=True)
@@ -347,13 +394,3 @@ def evaluate(C: LinearConstraint, point: Sequence[Rat]) -> Evaluation:
     lhs = sum((c * Fraction(point[j]) for j, c in C.terms), ZERO)
     slack = lhs - C.rhs
     return Evaluation(slack >= 0, slack)
-
-
-def satisfies_disjunction(D: BoundDisjunction, point: Sequence[Rat]) -> bool:
-    for a in D.atoms:
-        x = Fraction(point[a.var])
-        if a.kind is BoundKind.LOWER and x >= a.value:
-            return True
-        if a.kind is BoundKind.UPPER and x <= a.value:
-            return True
-    return False

@@ -56,8 +56,7 @@ class SolverConfig:
     node_limit: int = 10_000
     conflict_limit: int = 1_000
     max_learned_length: Optional[int] = None
-    # "solve": learn and use; "generate": learn but ignore (phase 1);
-    # "exploit": no learning, extra initial objects supplied (phase 2).
+    # "solve": learn and use; "generate": learn but ignore (phase 1).
     mode: str = "solve"
     initial_learned: Tuple[LearnedObject, ...] = ()
     # Invoked with every learned object before it is used (debug validation).
@@ -69,7 +68,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.node_limit <= 0 or self.conflict_limit < 0:
             raise ValueError("limits must be positive")
-        if self.mode not in ("solve", "generate", "exploit"):
+        if self.mode not in ("solve", "generate"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -366,7 +365,6 @@ class _Solver:
     def _analysis_allowed(self) -> bool:
         return (
             self.config.enable_learning
-            and self.config.mode != "exploit"
             and self.stats.conflicts_analyzed < self.config.conflict_limit
         )
 
@@ -602,7 +600,7 @@ def run_two_phase(
     result1 = solve(problem, gen_cfg)
     exploit_cfg = replace(
         config,
-        mode="exploit",
+        mode="solve",
         enable_learning=False,
         initial_learned=tuple(result1.learned),
     )

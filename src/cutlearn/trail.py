@@ -20,10 +20,8 @@ from .rationals import (
     ZERO,
     ext_mul,
     format_ext,
-    format_rational,
     is_finite,
     is_integral,
-    parse_ext,
 )
 
 
@@ -347,56 +345,3 @@ def infeasible_at(
     C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
 ) -> bool:
     return max_activity(C, trail, state) < C.rhs
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def serialize_trail(trail: Trail) -> str:
-    """One change per line: level index var kind value reason-id."""
-    lines = []
-    for ch in trail.changes:
-        if ch.reason is None:
-            rid = "dec"
-        elif isinstance(ch.reason, RowReason):
-            rid = f"row:{ch.reason.index}"
-        else:
-            rid = f"dis:{ch.reason.index}"
-        kind = "lb" if ch.kind is BoundKind.LOWER else "ub"
-        lines.append(
-            f"{ch.state.level} {ch.state.index} {ch.var} {kind} "
-            f"{format_rational(ch.new_value)} {rid}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def replay_trail(
-    variables: Sequence[Variable],
-    rows: Sequence[LinearConstraint],
-    disjunctions: Sequence[BoundDisjunction],
-    text: str,
-) -> Trail:
-    trail = Trail(variables)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        level_s, index_s, var_s, kind_s, value_s, rid = line.split()
-        var = int(var_s)
-        kind = BoundKind.LOWER if kind_s == "lb" else BoundKind.UPPER
-        value = parse_ext(value_s)
-        if rid == "dec":
-            state = trail.push_decision(var, kind, value)
-        elif rid.startswith("row:"):
-            idx = int(rid[4:])
-            state = trail.push_deduction(var, kind, value, RowReason(idx, rows[idx]))
-        elif rid.startswith("dis:"):
-            idx = int(rid[4:])
-            state = trail.push_deduction(
-                var, kind, value, DisjunctionReason(idx, disjunctions[idx])
-            )
-        else:
-            raise ValueError(f"line {lineno}: bad reason id {rid!r}")
-        if (state.level, state.index) != (int(level_s), int(index_s)):
-            raise ValueError(f"line {lineno}: state mismatch on replay")
-    return trail

@@ -31,8 +31,7 @@ from cutlearn.cuts import (
     CutError,
     ReductionError,
     ReductionStrategy,
-    _propagation_gap,
-    normalize_reason,
+    _literal_reason,
     reduce_clause,
     reduce_cmir,
     reduce_coeftight,
@@ -375,11 +374,10 @@ def test_criterion_6_late_weakening_dominates_early_weakening():
         # the weaker output is exactly the stronger one with the
         # fractional-coefficient literals weakened away (a coefficient the
         # rounding already cancelled weakens for free)
-        norm = normalize_reason(reason, r, vs)
-        _, P, _ = _propagation_gap(norm, t, state)
+        norm, _, P = _literal_reason(reason, r, t, state)
         wk = cm
         for j in P:
-            if not is_integral(norm.constraint.coef(j)) and wk.coef(j) != 0:
+            if not is_integral(norm.coef(j)) and wk.coef(j) != 0:
                 wk = weaken(wk, j, vs)
         assert wk == wm, (reason, r, cm, wm, wk)
     assert box_points >= 100

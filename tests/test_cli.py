@@ -3,8 +3,11 @@
 import json
 
 from cutlearn.cli import EXIT_INPUT_ERROR, EXIT_LIMIT, EXIT_OK, main
-from cutlearn.fileio import print_native
+from cutlearn.cuts import ReductionStrategy
+from cutlearn.fileio import parse_native, print_native
 from cutlearn.corpus import random_mbp_problem
+from cutlearn.oracle import validate_learned
+from cutlearn.search import SolverConfig, solve
 
 OPB = "min: +1 x1 +1 x2;\n+1 x1 +1 x2 >= 1;\n"
 
@@ -46,6 +49,34 @@ def test_solve_native_with_reduction_flag(tmp_path, capsys):
     for strategy in ("clause", "coeftight", "wmir", "cmir"):
         assert main(["solve", path, "--reduction", strategy]) == EXIT_OK
         assert "status:" in capsys.readouterr().out
+
+
+# c2 propagates b >= 1 from z >= 1, through y with an infinite upper bound.
+NONBINARY_REASON = (
+    "var w binary\n"
+    "var z binary\n"
+    "var b binary\n"
+    "var y integer [0, {ub}]\n"
+    "con c1: 1 w + 1 z >= 1\n"
+    "con c2: 1 b - 1 y - 1 z >= -1/2\n"
+    "con c3: -1 b - 1 z >= -1\n"
+)
+
+
+def test_nonbinary_reason_is_refused_not_fatal(tmp_path, capsys):
+    """A binary variable propagated by a row with a general integer of
+    infinite upper bound: the binary reductions refuse the reason and the
+    analysis falls back, under every strategy.  The learned objects hold on
+    the model with y capped at 3, where the oracle can enumerate."""
+    path = _write(tmp_path, "nb.txt", NONBINARY_REASON.format(ub="inf"))
+    capped = parse_native(NONBINARY_REASON.format(ub="3"))
+    for strategy in ReductionStrategy:
+        assert main(["solve", path, "--reduction", strategy.value]) == EXIT_OK
+        assert "status: feasible" in capsys.readouterr().out
+        result = solve(parse_native(open(path).read()), SolverConfig(strategy=strategy))
+        assert result.learned
+        for obj in result.learned:
+            assert validate_learned(capped, obj), (strategy, obj)
 
 
 def test_solve_node_limit(tmp_path, capsys):

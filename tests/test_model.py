@@ -1,5 +1,6 @@
 """Constraint canonical form, normalization round trips, problem building."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,11 @@ from cutlearn.model import (
     Variable,
     VarKind,
     build_problem,
-    complement_term,
+    complement,
     denormalize,
     evaluate,
+    literal_variables,
     normalize_for_reduction,
-    satisfies_disjunction,
 )
 from cutlearn.rationals import INF, NEG_INF
 
@@ -123,24 +124,70 @@ def test_build_problem_validation():
 def test_complement_is_involution():
     vs = binary_vars(3)
     C = mk({0: 2, 1: -3, 2: 1}, 4)
-    once = complement_term(C, 1, vs)
+    once = complement(C, [1], vs)
     assert once.coef(1) == 3
-    assert complement_term(once, 1, vs) == C
+    assert complement(once, [1], vs) == C
 
 
-@given(small_constraints(), st.integers(min_value=0, max_value=3))
-def test_normalize_denormalize_roundtrip(C, r):
-    vs = binary_vars(4)
+# None is a binary; (lb, width) an integer on [lb, lb + width].
+boxes = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=0, max_value=3),
+        ),
+    ),
+    min_size=4,
+    max_size=4,
+)
+
+
+def _box_vars(spec):
+    return [
+        Variable(j, f"x{j}", VarKind.BINARY, F(0), F(1))
+        if box is None
+        else Variable(j, f"z{j}", VarKind.INTEGER, F(box[0]), F(box[0] + box[1]))
+        for j, box in enumerate(spec)
+    ]
+
+
+@given(small_constraints(), st.integers(min_value=0, max_value=3), boxes)
+def test_normalize_denormalize_roundtrip(C, r, spec):
+    vs = _box_vars(spec)
     if C.coef(r) == 0:
         return
     norm, record = normalize_for_reduction(C, r, vs)
     assert norm.coef(r) == 1
     assert all(c >= 0 for _, c in norm.terms)
+    # exactly the positive terms with a nonzero lower bound are shifted
+    assert record.shifted == tuple(
+        j for j, c in C.terms if c > 0 and vs[j].global_lb != 0
+    )
     back = denormalize(norm, record, vs)
-    # denormalization undoes complementation only; the positive division by
-    # the divisor stays, so scaling back recovers the input exactly
+    # denormalization undoes complementation and shifts only; the positive
+    # division by the divisor stays, so scaling back recovers the input
+    # exactly
     assert record.divisor > 0
     assert back.scaled(record.divisor) == C
+    # at every point of the box, each literal lies on its literal domain
+    # and the normalized row's slack is C's slack over the divisor
+    lits = literal_variables(norm, vs)
+    for x in itertools.product(
+        *(range(int(v.global_lb), int(v.global_ub) + 1) for v in vs)
+    ):
+        slack = sum(c * x[j] for j, c in C.terms) - C.rhs
+        norm_slack = -norm.rhs
+        for j, c in norm.terms:
+            if j in record.complemented:
+                lit = vs[j].global_ub - x[j]
+            elif j in record.shifted:
+                lit = x[j] - vs[j].global_lb
+            else:
+                lit = x[j]
+            assert lits[j].global_lb == 0 <= lit <= lits[j].global_ub
+            norm_slack += c * lit
+        assert norm_slack == slack / record.divisor
 
 
 def test_normalize_divisor_tracks_sign():
@@ -148,7 +195,7 @@ def test_normalize_divisor_tracks_sign():
     C = mk({0: -2, 1: 4}, 3)
     norm, record = normalize_for_reduction(C, 0, vs)
     assert norm.coef(0) == 1
-    assert 0 in record.complemented_set
+    assert 0 in record.complemented
     assert record.divisor == 2
     # forward again through the same record is the identity in literal space
     again, record2 = normalize_for_reduction(
@@ -174,12 +221,7 @@ def test_disjunction_validation():
         BoundDisjunction(())
     with pytest.raises(ValueError):
         BoundDisjunction((a, BoundAtom(0, BoundKind.LOWER, F(2))))
-    D = BoundDisjunction((a, BoundAtom(0, BoundKind.UPPER, F(0))))
-    assert satisfies_disjunction(D, [F(0)])
-    assert satisfies_disjunction(D, [F(1)])
-    assert not satisfies_disjunction(
-        BoundDisjunction((a,)), [F(0)]
-    )
+    BoundDisjunction((a, BoundAtom(0, BoundKind.UPPER, F(0))))
 
 
 def test_evaluate_slack():

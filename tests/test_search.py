@@ -248,7 +248,7 @@ def test_learned_file_roundtrip(tmp_path):
     assert list(result.learned) == back
     # and the objects can seed an exploitation run
     cfg = SolverConfig(
-        mode="exploit", enable_learning=False, initial_learned=tuple(back)
+        enable_learning=False, initial_learned=tuple(back)
     )
     again = solve(problem, cfg)
     assert_agrees_with_oracle(problem, again)

@@ -1,4 +1,4 @@
-"""Trail mechanics: states, bound queries, backjumps, serialization."""
+"""Trail mechanics: states, bound queries, backjumps."""
 
 import pytest
 from hypothesis import given
@@ -13,8 +13,6 @@ from cutlearn.trail import (
     infeasible_at,
     is_relaxable,
     max_activity,
-    replay_trail,
-    serialize_trail,
 )
 
 from conftest import F, binary_vars, mk
@@ -144,29 +142,6 @@ def test_bound_inconsistency_flag():
     assert t.bound_inconsistent and t.inconsistent_var == 0
     t.backjump(INITIAL_STATE)
     assert not t.bound_inconsistent
-
-
-def test_serialize_replay_roundtrip():
-    vs = binary_vars(3)
-    rows = [mk({0: 1, 1: 1}, 1), mk({2: -1}, 0)]
-    t = Trail(vs)
-    t.push_deduction(2, BoundKind.UPPER, 0, RowReason(1, rows[1]))
-    t.push_decision(0, BoundKind.UPPER, 0)
-    t.push_deduction(1, BoundKind.LOWER, 1, RowReason(0, rows[0]))
-    text = serialize_trail(t)
-    back = replay_trail(vs, rows, [], text)
-    assert back.states() == t.states()
-    assert back.local_lb == t.local_lb
-    assert back.local_ub == t.local_ub
-    assert serialize_trail(back) == text
-
-
-def test_replay_rejects_state_mismatch():
-    vs = binary_vars(1)
-    with pytest.raises(ValueError):
-        replay_trail(vs, [], [], "2 0 0 ub 0 dec\n")
-    with pytest.raises(ValueError):
-        replay_trail(vs, [], [], "1 0 0 ub 0 bogus:3\n")
 
 
 def test_reimported_modules_are_freed():
