@@ -44,7 +44,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-learning", action="store_true")
     sub.add_argument("--node-limit", type=int, default=10_000)
     sub.add_argument("--conflict-limit", type=int, default=1_000)
-    sub.add_argument("--max-learned-length", type=int, default=None)
     sub.add_argument("--stats-json", default=None)
 
 
@@ -54,7 +53,6 @@ def _config_from_args(args) -> SolverConfig:
         enable_learning=not args.no_learning,
         node_limit=args.node_limit,
         conflict_limit=args.conflict_limit,
-        max_learned_length=args.max_learned_length,
     )
 
 

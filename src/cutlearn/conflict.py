@@ -50,7 +50,6 @@ from .trail import (
     global_max_activity,
     global_min_activity,
     infeasible_at,
-    is_relaxable,
     residual,
 )
 
@@ -247,8 +246,6 @@ def reduce_mbp(
             wanted = BoundKind.UPPER if a > 0 else BoundKind.LOWER
             if ch.kind is not wanted:
                 continue
-            if is_relaxable(work, c, trail, ch.state):
-                continue
             target = ch
             break
         if target is None:
@@ -333,7 +330,6 @@ def analyze(
     conflict_row: LinearConstraint,
     trail: Trail,
     strategy: ReductionStrategy,
-    max_learned_length: Optional[int] = None,
 ) -> AnalysisResult:
     """Learn a globally valid constraint explaining the current conflict.
 
@@ -411,7 +407,7 @@ def analyze(
         r = ch.var
         action = "resolve"
         try:
-            if is_tight_propagation(C_reason, ch, trail):
+            if is_tight_propagation(ch, trail):
                 reduced = C_reason
                 action = "tight"
             elif variables[r].kind is VarKind.BINARY:
@@ -432,7 +428,8 @@ def analyze(
                 else:
                     reduced = reduce_reason(strategy, C_reason, C_learn, r, trail, s)
                     action = strategy.value
-            elif variables[r].kind is VarKind.INTEGER:
+            else:
+                # A general integer: continuous propagations are always tight.
                 out = resolve_general_integer(C_reason, C_learn, r, trail, s)
                 if isinstance(out, Failed):
                     return result(
@@ -446,10 +443,6 @@ def analyze(
                     continue
                 reduced = out.constraint
                 action = "separation-cut"
-            else:
-                # Continuous propagations are always tight, so this branch
-                # is unreachable; kept as a guard.
-                reduced = C_reason
         except ReductionError as exc:
             return result(
                 "abandoned", abandoned_reason=str(exc), conflicting_state=s
@@ -468,19 +461,11 @@ def analyze(
             )
         C_learn = _strengthen(C_learn, variables)
         step(s, r, action)
-        if max_learned_length is not None and len(C_learn) > max_learned_length:
-            return result(
-                "abandoned", abandoned_reason="learned constraint too long"
-            )
 
 
 def _strengthen(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:
-    minact = global_min_activity(C, variables)
-    if minact < C.rhs:
-        try:
-            return coef_tighten(C, variables)
-        except CutError:
-            return C
+    if global_min_activity(C, variables) < C.rhs:
+        return coef_tighten(C, variables)
     return C
 
 
@@ -491,29 +476,39 @@ def _with_origin(C: LinearConstraint, strategy: ReductionStrategy) -> LinearCons
 # -- graph fallback -----------------------------------------------------------
 
 
-def _contributing_changes(
-    C: LinearConstraint,
+def _reason_sources(
     trail: Trail,
-    state: StateId,
-    exclude_var: Optional[int] = None,
+    reason: Union[LinearConstraint, BoundDisjunction],
+    upto: StateId,
+    implied: Optional[BoundChange] = None,
 ) -> List[BoundChange]:
-    """Latest bound changes (up to ``state``) on the non-relaxable side of
-    each term; these jointly explain the row's activity at ``state``."""
+    """Latest bound changes (up to ``upto``) that falsify each literal of a
+    row or a disjunction, except the literal ``implied`` by it.
+
+    A disjunction's literals are its atoms.  A row term a_j x_j stands for
+    the bound it can imply (lower for a_j > 0, upper for a_j < 0), which is
+    falsified by the other bound, the one its max activity is taken at.
+    """
+    if isinstance(reason, LinearConstraint):
+        literals = [
+            (j, BoundKind.LOWER if a > 0 else BoundKind.UPPER)
+            for j, a in reason.terms
+        ]
+    else:
+        literals = [(atom.var, atom.kind) for atom in reason.atoms]
     out = []
-    for j, a in C.terms:
-        if j == exclude_var:
+    for var, kind in literals:
+        if implied is not None and var == implied.var and kind is implied.kind:
             continue
-        kind = BoundKind.UPPER if a > 0 else BoundKind.LOWER
-        ch = trail.latest_change(j, kind, upto=state)
+        other = BoundKind.UPPER if kind is BoundKind.LOWER else BoundKind.LOWER
+        ch = trail.latest_change(var, other, upto=upto)
         if ch is not None:
             out.append(ch)
     return out
 
 
 def _atom_sources(
-    trail: Trail,
-    seed: List[BoundChange],
-    used: Optional[Set[int]] = None,
+    trail: Trail, seed: List[BoundChange], used: Set[int]
 ) -> List[BoundChange]:
     """Expand continuous changes through their reasons until only integral
     bound changes remain; drops nothing else."""
@@ -535,24 +530,14 @@ def _atom_sources(
     return sorted(result.values(), key=lambda c: c.state)
 
 
-def _expand_change(
-    trail: Trail, ch: BoundChange, used: Optional[Set[int]] = None
-) -> List[BoundChange]:
-    pred = trail.predecessor(ch.state)
+def _expand_change(trail: Trail, ch: BoundChange, used: Set[int]) -> List[BoundChange]:
+    """The changes that made ``ch``'s reason imply it."""
     if isinstance(ch.reason, RowReason):
-        if used is not None:
-            used.add(ch.reason.index)
-        return _contributing_changes(ch.reason.row, trail, pred, exclude_var=ch.var)
-    # Disjunction reason: every other atom was violated at the predecessor.
-    out = []
-    for atom in ch.reason.disjunction.atoms:
-        if atom.var == ch.var and atom.kind == ch.kind:
-            continue
-        kind = BoundKind.UPPER if atom.kind is BoundKind.LOWER else BoundKind.LOWER
-        hit = trail.latest_change(atom.var, kind, upto=pred)
-        if hit is not None:
-            out.append(hit)
-    return out
+        used.add(ch.reason.index)
+        reason = ch.reason.row
+    else:
+        reason = ch.reason.disjunction
+    return _reason_sources(trail, reason, trail.predecessor(ch.state), ch)
 
 
 def _negated_atom(ch: BoundChange, variables: Sequence[Variable]) -> BoundAtom:
@@ -565,9 +550,7 @@ def _negated_atom(ch: BoundChange, variables: Sequence[Variable]) -> BoundAtom:
 
 
 def graph_fallback(
-    trail: Trail,
-    conflict_row: Optional[LinearConstraint] = None,
-    conflict_disjunction: Optional[BoundDisjunction] = None,
+    trail: Trail, conflict: Union[LinearConstraint, BoundDisjunction]
 ) -> AnalysisResult:
     """Single-FUIP analysis over bound changes.
 
@@ -578,26 +561,13 @@ def graph_fallback(
     """
     variables = trail.variables
     state = trail.current_state
-    if conflict_row is not None:
-        seed = _contributing_changes(conflict_row, trail, state)
-    elif conflict_disjunction is not None:
-        seed = []
-        for atom in conflict_disjunction.atoms:
-            kind = (
-                BoundKind.UPPER if atom.kind is BoundKind.LOWER else BoundKind.LOWER
-            )
-            ch = trail.latest_change(atom.var, kind, upto=state)
-            if ch is not None:
-                seed.append(ch)
-    else:
-        raise ValueError("graph_fallback needs a conflicting row or disjunction")
-    if trail.current_level == 0:
+    level = state.level
+    if level == 0:
         return AnalysisResult(
             "global_infeasibility", strategy_used=GRAPH_FALLBACK
         )
-
-    level = trail.current_level
     used: Set[int] = set()
+    seed = _reason_sources(trail, conflict, state)
     contributions = _atom_sources(trail, seed, used)
     # Drop root-level contributions: they hold in every subproblem.
     contributions = [c for c in contributions if c.state.level > 0]

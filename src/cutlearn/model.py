@@ -103,9 +103,6 @@ class LinearConstraint:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def variables(self) -> Tuple[int, ...]:
-        return tuple(j for j, _ in self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -197,10 +194,6 @@ class Problem:
     variables: Tuple[Variable, ...]
     constraints: Tuple[LinearConstraint, ...]
     objective: Optional[Tuple[Tuple[int, Rat], ...]] = None
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.variables)
 
     def objective_dict(self) -> dict:
         return dict(self.objective) if self.objective else {}

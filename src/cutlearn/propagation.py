@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 from .model import BoundDisjunction, BoundKind, LinearConstraint, VarKind
 from .rationals import Rat, frac_ceil, frac_floor, is_integral
 from .trail import (
+    BoundChange,
     DisjunctionReason,
     RowReason,
     StateId,
@@ -31,10 +32,6 @@ class Candidate:
 class PropagationResult:
     conflict: bool
     changes: Tuple[Candidate, ...] = ()
-
-    @property
-    def no_change(self) -> bool:
-        return not self.conflict and not self.changes
 
 
 NO_CHANGE = PropagationResult(False)
@@ -150,16 +147,13 @@ def propagate_fixpoint(
                     return FixpointResult(
                         True, ("row", i), trail.current_state, num_changes
                     )
-                applied = False
+                if not result.changes:
+                    trail.mark_stable(i, row)
+                    break
+                # A row has one term per variable, so it gives at most one
+                # candidate per variable and pushing one moves no other's
+                # bound.
                 for cand in result.changes:
-                    # Bounds may have moved while applying earlier candidates
-                    # of the same row; re-check that the change still tightens.
-                    if cand.kind is BoundKind.LOWER:
-                        if cand.value <= trail.local_lb[cand.var]:
-                            continue
-                    else:
-                        if cand.value >= trail.local_ub[cand.var]:
-                            continue
                     trail.push_deduction(
                         cand.var,
                         cand.kind,
@@ -167,11 +161,7 @@ def propagate_fixpoint(
                         RowReason(i, row),
                         cand.pre_rounding,
                     )
-                    num_changes += 1
-                    applied = True
-                if not applied:
-                    trail.mark_stable(i, row)
-                    break
+                num_changes += len(result.changes)
                 changed = True
         for i, dis in enumerate(disjunctions):
             res = propagate_disjunction(dis, trail)
@@ -187,22 +177,12 @@ def propagate_fixpoint(
     return FixpointResult(False, num_changes=num_changes, capped=changed)
 
 
-def is_tight_propagation(C: LinearConstraint, change, trail: Trail) -> bool:
+def is_tight_propagation(change: BoundChange, trail: Trail) -> bool:
     """A propagation is tight if no integer rounding was needed."""
     if trail.variables[change.var].kind is VarKind.CONTINUOUS:
         return True
-    pre = change.pre_rounding
-    if pre is None:
-        pre = _rederive_pre_rounding(C, change, trail)
-    return is_integral(pre)
-
-
-def _rederive_pre_rounding(C: LinearConstraint, change, trail: Trail) -> Rat:
-    before = trail.predecessor(change.state)
-    result = propagate_candidates(C, trail, before)
-    for cand in result.changes:
-        if cand.var == change.var and cand.kind == change.kind:
-            return cand.pre_rounding
-    raise ValueError(
-        f"change on x{change.var} at {change.state} is not derivable from the row"
-    )
+    if change.pre_rounding is None:
+        raise ValueError(
+            f"change on x{change.var} at {change.state} has no pre-rounding value"
+        )
+    return is_integral(change.pre_rounding)

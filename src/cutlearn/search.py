@@ -55,7 +55,6 @@ class SolverConfig:
     enable_learning: bool = True
     node_limit: int = 10_000
     conflict_limit: int = 1_000
-    max_learned_length: Optional[int] = None
     # "solve": learn and use; "generate": learn but ignore (phase 1).
     mode: str = "solve"
     initial_learned: Tuple[LearnedObject, ...] = ()
@@ -314,10 +313,9 @@ class _Solver:
         self.config = config
         self.trail = Trail(problem.variables)
         self.rows: List[LinearConstraint] = list(problem.constraints)
-        self.disjunctions: List[BoundDisjunction] = []
+        self.disjunctions: List[BoundDisjunction] = []  # all learned
         self.unsafe_rows: Set[int] = set()  # objective-cutoff rows
         self.learned_row_idx: Set[int] = set()
-        self.learned_dis_idx: Set[int] = set()
         self.dstack: List[_Decision] = []
         self.stats = Stats(nodes=1)
         self.learned: List[LearnedObject] = []
@@ -349,7 +347,6 @@ class _Solver:
             self.learned_row_idx.add(len(self.rows))
             self.rows.append(obj)
         else:
-            self.learned_dis_idx.add(len(self.disjunctions))
             self.disjunctions.append(obj)
 
     def _record(self, obj: LearnedObject) -> None:
@@ -372,25 +369,16 @@ class _Solver:
         kind, idx = source
         if kind == "row" and idx in self.unsafe_rows:
             return None  # objective-bound conflicts are not globally valid
+        conflict = self.rows[idx] if kind == "row" else self.disjunctions[idx]
         self.stats.conflicts_analyzed += 1
         out: Optional[AnalysisResult] = None
         if kind == "row":
-            out = analyze(
-                self.rows[idx],
-                self.trail,
-                self.config.strategy,
-                max_learned_length=self.config.max_learned_length,
-            )
+            out = analyze(conflict, self.trail, self.config.strategy)
             if out.outcome == "abandoned" or self._used_unsafe(out):
                 out = None
         if out is None:
             self.stats.fallbacks += 1
-            if kind == "row":
-                out = graph_fallback(self.trail, conflict_row=self.rows[idx])
-            else:
-                out = graph_fallback(
-                    self.trail, conflict_disjunction=self.disjunctions[idx]
-                )
+            out = graph_fallback(self.trail, conflict)
             if self._used_unsafe(out):
                 return None
         if self.config.on_analysis is not None:
@@ -523,17 +511,12 @@ class _Solver:
                 return False  # keep the tree identical across strategies
             return None
         obj = out.learned_object
-        if obj is None:
-            return False
         if self.config.mode == "generate":
             self._record(obj)
             return False
         self._install(obj)
         self._record(obj)
-        target = out.backjump_target
-        if target is None:
-            return False
-        self._backjump(target)
+        self._backjump(out.backjump_target)
         return True
 
     def _account_learned_propagation(self, start: int) -> None:
@@ -543,9 +526,8 @@ class _Solver:
                     self.stats.bdchgs_by_learned += 1
                     self._used_rows.add(ch.reason.index)
             elif isinstance(ch.reason, DisjunctionReason):
-                if ch.reason.index in self.learned_dis_idx:
-                    self.stats.bdchgs_by_learned += 1
-                    self._used_dis.add(ch.reason.index)
+                self.stats.bdchgs_by_learned += 1
+                self._used_dis.add(ch.reason.index)
 
     def _finish(self, proved: bool) -> SolveResult:
         self._finalize_stats()
@@ -573,7 +555,7 @@ class _Solver:
                 lengths.append(len(obj.atoms))
         if lengths:
             self.stats.avg_learned_length = sum(lengths) / len(lengths)
-        total_tracked = len(self.learned_row_idx) + len(self.learned_dis_idx)
+        total_tracked = len(self.learned_row_idx) + len(self.disjunctions)
         if total_tracked:
             used = len(self._used_rows) + len(self._used_dis)
             self.stats.used_pct = 100.0 * used / total_tracked

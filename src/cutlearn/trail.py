@@ -75,8 +75,6 @@ class Trail:
         self.local_lb: List[Ext] = [v.global_lb for v in variables]
         self.local_ub: List[Ext] = [v.global_ub for v in variables]
         self.changes: List[BoundChange] = []
-        self.bound_inconsistent = False
-        self.inconsistent_var: Optional[int] = None
         # ``tick`` counts bound changes, undone ones included; ``stamp[j]`` is
         # the tick of x_j's latest change (made or undone).  ``stable_rows``
         # maps a row index to the row and the tick at which propagation last
@@ -128,9 +126,6 @@ class Trail:
             self.local_ub[j] = change.new_value
         self.tick += 1
         self.stamp[j] = self.tick
-        if self.local_lb[j] > self.local_ub[j]:
-            self.bound_inconsistent = True
-            self.inconsistent_var = j
         self.changes.append(change)
 
     def _check_tightens(self, var: int, kind: BoundKind, value: Rat) -> Ext:
@@ -190,13 +185,6 @@ class Trail:
                 self.local_ub[ch.var] = ch.old_value
             self.tick += 1
             self.stamp[ch.var] = self.tick
-        self.bound_inconsistent = False
-        self.inconsistent_var = None
-        for j in range(len(self.variables)):
-            if self.local_lb[j] > self.local_ub[j]:
-                self.bound_inconsistent = True
-                self.inconsistent_var = j
-                break
 
     # -- stable rows ---------------------------------------------------------
 
@@ -242,7 +230,7 @@ class Trail:
         return None
 
 
-# -- activities and relaxability -------------------------------------------
+# -- activities ---------------------------------------------------------------
 
 
 # A bound per variable index: a full bound vector, or a dict over one row's
@@ -322,23 +310,6 @@ def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> E
     lb, ub = global_bounds(C, variables)
     finite, infinite, _ = activity(C, ub, lb)
     return finite if infinite == 0 else NEG_INF
-
-
-def is_relaxable(
-    C: LinearConstraint, var: int, trail: Trail, state: Optional[StateId] = None
-) -> bool:
-    """True iff relaxing var to its global bounds keeps max activity unchanged."""
-    a = C.coef(var)
-    if a == 0:
-        raise ValueError(f"variable {var} not in constraint")
-    if state is None:
-        lb, ub = trail.local_lb, trail.local_ub
-    else:
-        lb, ub = trail.bounds_at(state)
-    v = trail.variables[var]
-    if a > 0:
-        return ub[var] == v.global_ub
-    return lb[var] == v.global_lb
 
 
 def infeasible_at(

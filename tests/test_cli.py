@@ -5,7 +5,7 @@ import json
 from cutlearn.cli import EXIT_INPUT_ERROR, EXIT_LIMIT, EXIT_OK, main
 from cutlearn.cuts import ReductionStrategy
 from cutlearn.fileio import parse_native, print_native
-from cutlearn.corpus import random_mbp_problem
+from cutlearn.corpus import pigeonhole, random_mbp_problem
 from cutlearn.oracle import validate_learned
 from cutlearn.search import SolverConfig, solve
 
@@ -83,6 +83,14 @@ def test_solve_node_limit(tmp_path, capsys):
     path = _write(tmp_path, "a.opb", OPB)
     assert main(["solve", path, "--node-limit", "1"]) == EXIT_LIMIT
     assert "limit" in capsys.readouterr().out
+
+
+def test_conflict_limit_flag(tmp_path, capsys):
+    path = _write(tmp_path, "php.txt", print_native(pigeonhole(5, 4)))
+    stats = str(tmp_path / "stats.json")
+    assert main(["solve", path, "--conflict-limit", "0", "--stats-json", stats]) == EXIT_OK
+    assert "status: infeasible" in capsys.readouterr().out
+    assert json.loads(open(stats).read())["conflicts_analyzed"] == 0
 
 
 def test_check_agrees(tmp_path, capsys):

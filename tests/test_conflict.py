@@ -393,7 +393,7 @@ def test_graph_fallback_binary_clause():
     t.push_decision(1, BoundKind.UPPER, 0)
     res = propagate_fixpoint(t, rows)
     assert res.conflict
-    out = graph_fallback(t, conflict_row=rows[0])
+    out = graph_fallback(t, rows[0])
     assert out.outcome == "learned"
     assert out.constraint == mk({0: 1, 1: 1}, 1)
     assert out.backjump_target == StateId(1, 0)
@@ -409,7 +409,7 @@ def test_graph_fallback_integer_disjunction():
     t.push_decision(0, BoundKind.UPPER, 1)
     res = propagate_fixpoint(t, rows)
     assert res.conflict
-    out = graph_fallback(t, conflict_row=rows[res.source[1]])
+    out = graph_fallback(t, rows[res.source[1]])
     assert out.outcome == "learned_disjunction"
     (atom,) = out.disjunction.atoms
     assert (atom.var, atom.kind, atom.value) == (0, BoundKind.LOWER, F(2))
@@ -419,12 +419,6 @@ def test_graph_fallback_integer_disjunction():
         for z in range(1, 4):
             if 2 * z + w >= 4 and -2 * z + w >= F(-5, 2):
                 assert w >= 2
-
-
-def test_graph_fallback_needs_a_conflict():
-    t = Trail(binary_vars(1))
-    with pytest.raises(ValueError):
-        graph_fallback(t)
 
 
 # -- analysis loop corner cases ----------------------------------------------

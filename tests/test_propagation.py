@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,20 +209,25 @@ def test_is_tight_propagation():
     t.push_deduction(1, BoundKind.UPPER, 1, RowReason(9, mk({1: -1}, -1)))
     propagate_fixpoint(t, [C])
     change = next(ch for ch in t.changes if ch.var == 0)
-    assert not is_tight_propagation(C, change, t)
+    assert not is_tight_propagation(change, t)
     # integral pre-rounding: z >= 2 from y <= 0 is tight
     t2 = Trail(vs)
     t2.push_deduction(1, BoundKind.UPPER, 0, RowReason(9, mk({1: -1}, 0)))
     propagate_fixpoint(t2, [C])
     change2 = next(ch for ch in t2.changes if ch.var == 0)
     assert change2.pre_rounding == 2
-    assert is_tight_propagation(C, change2, t2)
+    assert is_tight_propagation(change2, t2)
     # continuous deductions are always tight
     t3 = Trail(vs)
     C3 = mk({1: -1, 0: -1}, -2)  # y <= 2 - z
     propagate_fixpoint(t3, [C3])
     change3 = next(ch for ch in t3.changes if ch.var == 1)
-    assert is_tight_propagation(C3, change3, t3)
+    assert is_tight_propagation(change3, t3)
+    # a row deduction on an integral variable must carry its pre-rounding
+    t4 = Trail(vs)
+    t4.push_deduction(0, BoundKind.LOWER, 2, RowReason(0, C))
+    with pytest.raises(ValueError, match="pre-rounding"):
+        is_tight_propagation(t4.changes[-1], t4)
 
 
 def test_max_activity_drops_below_rhs_exactly_on_conflict():
@@ -321,7 +327,7 @@ def draw_decision(data, trail):
         for j, v in enumerate(trail.variables)
         if v.is_integral and trail.local_lb[j] < trail.local_ub[j]
     ]
-    if trail.bound_inconsistent or not free:
+    if not free:
         return None
     j = data.draw(st.sampled_from(free))
     lb, ub = trail.local_lb[j], trail.local_ub[j]

@@ -2,7 +2,10 @@
 
 import pytest
 
+from cutlearn import search
+from cutlearn.conflict import graph_fallback
 from cutlearn.corpus import (
+    pigeonhole,
     random_binary_problem,
     random_general_integer_problem,
     random_mbp_problem,
@@ -134,6 +137,47 @@ def test_fallback_learns_valid_disjunction(with_objective):
         assert validate_learned(problem, d)
 
 
+def test_conflict_on_an_installed_disjunction_is_analyzed(monkeypatch):
+    """The rows imply D1 = (x1 >= 1 or x2 >= 1), D2 = (x0 >= 1 or x3 >= 1)
+    and D3 = (x0 >= 1 or x4 >= 1), which are installed.  After x0 <= 0, D2
+    and D3 imply x3 >= 1 and x4 >= 1 before the rows do (through x5), and
+    the rows then falsify both atoms of D1 in one pass.  The graph fallback
+    analyzes that conflict, expands x3 >= 1 and x4 >= 1 through D2 and D3
+    and learns x0 >= 1."""
+    rows = [
+        ({1: 1, 2: 1}, 1),
+        ({1: -1, 3: -1}, -1),
+        ({2: -1, 4: -1}, -1),
+        ({3: 1, 5: 1}, 1),
+        ({4: 1, 5: 1}, 1),
+        ({0: 1, 5: -1}, 0),
+    ]
+    problem = binary_problem(6, rows)
+    installed = tuple(
+        BoundDisjunction(
+            (BoundAtom(a, BoundKind.LOWER, F(1)), BoundAtom(b, BoundKind.LOWER, F(1)))
+        )
+        for a, b in [(1, 2), (0, 3), (0, 4)]
+    )
+    seen = []
+
+    def fallback(trail, conflict):
+        out = graph_fallback(trail, conflict)
+        seen.append((conflict, out))
+        return out
+
+    monkeypatch.setattr(search, "graph_fallback", fallback)
+    result = solve(problem, SolverConfig(initial_learned=installed))
+    assert_agrees_with_oracle(problem, result)
+    ((conflict, out),) = seen
+    assert conflict == installed[0]
+    assert out.constraint == mk({0: 1}, 1) and out.iterations == 4
+    assert out.used_row_indices == (1, 2)
+    assert result.learned == (out.constraint,)
+    for obj in installed + result.learned:
+        assert validate_learned(problem, obj)
+
+
 # -- two-phase ----------------------------------------------------------------
 
 
@@ -199,6 +243,16 @@ def test_node_limit_reports_limit_status():
     problem = random_binary_problem(2)
     result = solve(problem, SolverConfig(node_limit=1))
     assert result.status == "limit"
+
+
+def test_conflict_limit_bounds_the_analyses():
+    problem = pigeonhole(5, 4)  # three analyses without a limit
+    none = solve(problem, SolverConfig(conflict_limit=0))
+    assert none.status == "infeasible"
+    assert none.stats.conflicts_analyzed == 0 and not none.learned
+    one = solve(problem, SolverConfig(conflict_limit=1))
+    assert one.status == "infeasible"
+    assert one.stats.conflicts_analyzed == 1
 
 
 def test_config_validation():

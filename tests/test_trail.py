@@ -11,7 +11,6 @@ from cutlearn.trail import (
     StateId,
     Trail,
     infeasible_at,
-    is_relaxable,
     max_activity,
 )
 
@@ -121,27 +120,12 @@ def test_max_activity_monotone_along_trail():
         prev = cur
 
 
-def test_is_relaxable_and_infeasible_at():
+def test_infeasible_at():
     t = Trail(binary_vars(2))
     C = mk({0: 1, 1: 1}, 2)
-    assert is_relaxable(C, 0, t)
     s = t.push_decision(0, BoundKind.UPPER, 0)
-    assert not is_relaxable(C, 0, t)
-    assert is_relaxable(C, 1, t)
     assert not infeasible_at(C, t, INITIAL_STATE)
     assert infeasible_at(C, t, s)
-    with pytest.raises(ValueError):
-        is_relaxable(mk({1: 1}, 0), 0, t)
-
-
-def test_bound_inconsistency_flag():
-    t = Trail(binary_vars(1))
-    C = mk({0: 1}, 1)
-    t.push_decision(0, BoundKind.UPPER, 0)
-    t.push_deduction(0, BoundKind.LOWER, 1, RowReason(0, C))
-    assert t.bound_inconsistent and t.inconsistent_var == 0
-    t.backjump(INITIAL_STATE)
-    assert not t.bound_inconsistent
 
 
 def test_reimported_modules_are_freed():
