@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""One line per solver result, for diffing two versions of the solver.
+
+Each line names the instance, the strategy and the call (``solve``, or
+``phase1``/``phase2`` of ``run_two_phase``), then gives the status, the
+objective, the witness, every ``Stats`` field and the learned objects.  The
+instances are the random sweep generators (through both ``solve`` and
+``run_two_phase``), the desk corpus (``run_two_phase``) and PHP(p, p - 1)
+(``solve``).  ``--every N`` keeps every Nth sweep seed.
+
+Run it once with each checkout's ``src`` on ``PYTHONPATH`` and diff the
+outputs; a change that keeps the search leaves them identical:
+
+    PYTHONPATH=src python3 scripts/transcript.py > after.txt
+"""
+
+import argparse
+import dataclasses
+import sys
+
+from cutlearn.corpus import (
+    desk_corpus,
+    pigeonhole,
+    random_binary_problem,
+    random_general_integer_problem,
+    random_mbp_problem,
+)
+from cutlearn.cuts import ReductionStrategy
+from cutlearn.rationals import format_rational
+from cutlearn.search import (
+    SolverConfig,
+    Stats,
+    run_two_phase,
+    serialize_learned,
+    solve,
+)
+
+
+def format_result(label, result):
+    objective = "-" if result.objective is None else format_rational(result.objective)
+    witness = (
+        "-"
+        if result.witness is None
+        else ",".join(format_rational(x) for x in result.witness)
+    )
+    stats = " ".join(
+        f"{f.name}={getattr(result.stats, f.name)!r}"
+        for f in dataclasses.fields(Stats)
+    )
+    learned = "; ".join(serialize_learned(obj) for obj in result.learned)
+    return (
+        f"{label} status={result.status} objective={objective} "
+        f"witness={witness} {stats} learned=[{learned}]"
+    )
+
+
+def instances(args):
+    """(name, problem, calls) in output order, calls drawn from
+    ("solve", "twophase")."""
+    sweep = (
+        ("binary", random_binary_problem, args.binary),
+        ("mixed", random_mbp_problem, args.mixed),
+        ("integer", random_general_integer_problem, args.integer),
+    )
+    for family, generate, count in sweep:
+        for seed in range(0, count, args.every):
+            yield f"{family}/{seed}", generate(seed), ("solve", "twophase")
+    for k, problem in enumerate(desk_corpus(size=args.desk)):
+        yield f"desk/{k}", problem, ("twophase",)
+    for p in range(2, args.pigeonhole + 1):
+        yield f"php/{p}", pigeonhole(p, p - 1), ("solve",)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--binary", type=int, default=1000, help="binary seeds")
+    ap.add_argument("--mixed", type=int, default=300, help="mixed-binary seeds")
+    ap.add_argument("--integer", type=int, default=200, help="general-integer seeds")
+    ap.add_argument("--every", type=int, default=1, help="keep every Nth sweep seed")
+    ap.add_argument("--desk", type=int, default=20, help="desk corpus size")
+    ap.add_argument(
+        "--pigeonhole", type=int, default=8, help="largest p of PHP(p, p - 1)"
+    )
+    args = ap.parse_args(argv)
+    if args.every < 1:
+        ap.error("--every must be at least 1")
+
+    for name, problem, calls in instances(args):
+        for strategy in ReductionStrategy:
+            config = SolverConfig(strategy=strategy)
+            prefix = f"{name} {strategy.value}"
+            if "solve" in calls:
+                print(format_result(f"{prefix} solve", solve(problem, config)))
+            if "twophase" in calls:
+                r1, r2, _ = run_two_phase(problem, config)
+                print(format_result(f"{prefix} phase1", r1))
+                print(format_result(f"{prefix} phase2", r2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

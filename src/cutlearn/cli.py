@@ -80,15 +80,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.command == "solve":
-        return _cmd_solve(problem, args)
     if args.command == "check":
         return _cmd_check(problem)
-    return _cmd_twophase(problem, args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command == "solve":
+        return _cmd_solve(problem, config, args)
+    return _cmd_twophase(problem, config, args)
 
 
-def _cmd_solve(problem: Problem, args) -> int:
-    result = solve(problem, _config_from_args(args))
+def _cmd_solve(problem: Problem, config: SolverConfig, args) -> int:
+    result = solve(problem, config)
     _report(result)
     if args.stats_json:
         with open(args.stats_json, "w") as fh:
@@ -125,8 +130,8 @@ def _cmd_check(problem: Problem) -> int:
     return EXIT_OK if agree else EXIT_INPUT_ERROR
 
 
-def _cmd_twophase(problem: Problem, args) -> int:
-    r1, r2, objects = run_two_phase(problem, _config_from_args(args))
+def _cmd_twophase(problem: Problem, config: SolverConfig, args) -> int:
+    r1, r2, objects = run_two_phase(problem, config)
     print("phase1 " + emit_stats(r1.stats, r1.status, r1.objective))
     print("phase2 " + emit_stats(r2.stats, r2.status, r2.objective))
     if args.out_learned:

@@ -58,8 +58,6 @@ class SolverConfig:
     # "solve": learn and use; "generate": learn but ignore (phase 1).
     mode: str = "solve"
     initial_learned: Tuple[LearnedObject, ...] = ()
-    # Invoked with every learned object before it is used (debug validation).
-    on_learned: Optional[Callable[[LearnedObject], None]] = None
     # Invoked with (AnalysisResult, Trail) right after each successful
     # analysis, while the trail still shows the conflicting subproblem.
     on_analysis: Optional[Callable[[AnalysisResult, Trail], None]] = None
@@ -102,8 +100,13 @@ def select_branching(
 ) -> Optional[Tuple[int, BoundKind, Rat, BoundKind, Rat]]:
     """Lowest-index unfixed integral variable with its two directions.
 
-    Returns (var, kind, value, flip_kind, flip_value), down direction first,
-    or None when every integral variable is fixed.
+    Returns (var, kind, value, flip_kind, flip_value), or None when every
+    integral variable is fixed.  A general integer splits at
+    x <= mid | x >= mid + 1: mid is the floor of the midpoint of a finite
+    domain, lb or ub - 1 when only that bound is finite, and 0 when neither
+    is.  The down direction comes first, except on a domain bounded only
+    above: there x >= ub fixes x, where x <= ub - 1 would leave the domain
+    open below again and a dive could go on forever.
     """
     for v in problem.variables:
         if not v.is_integral:
@@ -113,7 +116,15 @@ def select_branching(
             continue
         if v.kind is VarKind.BINARY:
             return (v.index, BoundKind.UPPER, ZERO, BoundKind.LOWER, ONE)
-        mid = frac_floor((Fraction(lb) + Fraction(ub)) / 2)
+        if is_finite(lb) and is_finite(ub):
+            mid = frac_floor((Fraction(lb) + Fraction(ub)) / 2)
+        elif is_finite(lb):
+            mid = Fraction(lb)
+        elif is_finite(ub):
+            ub = Fraction(ub)
+            return (v.index, BoundKind.LOWER, ub, BoundKind.UPPER, ub - 1)
+        else:
+            mid = ZERO
         return (v.index, BoundKind.UPPER, mid, BoundKind.LOWER, mid + 1)
     return None
 
@@ -314,7 +325,9 @@ class _Solver:
         self.trail = Trail(problem.variables)
         self.rows: List[LinearConstraint] = list(problem.constraints)
         self.disjunctions: List[BoundDisjunction] = []  # all learned
-        self.unsafe_rows: Set[int] = set()  # objective-cutoff rows
+        # Index in ``rows`` of the objective-cutoff row; None before the
+        # first incumbent.
+        self.cutoff: Optional[int] = None
         self.learned_row_idx: Set[int] = set()
         self.dstack: List[_Decision] = []
         self.stats = Stats(nodes=1)
@@ -332,6 +345,7 @@ class _Solver:
         self.all_integer_obj = not self.cont_obj and all(
             is_integral(c) for c in self.int_obj.values()
         )
+        self.neg_obj = {j: -c for j, c in obj.items()}
         self._used_rows: Set[int] = set()
         self._used_dis: Set[int] = set()
         for extra in config.initial_learned:
@@ -341,8 +355,6 @@ class _Solver:
 
     def _install(self, obj: LearnedObject) -> None:
         """Make obj propagate: add it to the rows or the disjunctions."""
-        if self.config.on_learned is not None:
-            self.config.on_learned(obj)
         if isinstance(obj, LinearConstraint):
             self.learned_row_idx.add(len(self.rows))
             self.rows.append(obj)
@@ -367,7 +379,7 @@ class _Solver:
 
     def _run_analysis(self, source: Tuple[str, int]) -> Optional[AnalysisResult]:
         kind, idx = source
-        if kind == "row" and idx in self.unsafe_rows:
+        if kind == "row" and idx == self.cutoff:
             return None  # objective-bound conflicts are not globally valid
         conflict = self.rows[idx] if kind == "row" else self.disjunctions[idx]
         self.stats.conflicts_analyzed += 1
@@ -391,7 +403,7 @@ class _Solver:
         Such a reason is only valid relative to the incumbent, so the result
         cannot be kept as a globally valid learned object.
         """
-        return bool(self.unsafe_rows.intersection(out.used_row_indices))
+        return self.cutoff in out.used_row_indices
 
     # -- backtracking ----------------------------------------------------------
 
@@ -448,24 +460,29 @@ class _Solver:
             return  # repetition guard: ties are never re-accepted
         self.incumbent = witness
         self.incumbent_value = value
-        if self.int_obj or self.cont_obj:
+        if self.neg_obj:
             self._add_cutoff_row(value)
 
     def _add_cutoff_row(self, value: Rat) -> None:
-        terms = {}
-        for j, c in self.int_obj.items():
-            terms[j] = -c
-        for j, c in self.cont_obj.items():
-            terms[j] = terms.get(j, ZERO) - c
+        """Require -c.x >= delta - value, replacing the previous cutoff row.
+
+        The new row has the old one's terms and a tighter rhs.  Deductions
+        already on the trail keep the old row in their ``RowReason``, and
+        ``Trail.is_stable`` compares rows by identity, so the replaced row
+        is evaluated afresh at the next fixpoint.
+        """
         delta = ONE if self.all_integer_obj else ZERO
-        row = LinearConstraint.from_dict(terms, delta - value, "cutoff")
-        self.unsafe_rows.add(len(self.rows))
-        self.rows.append(row)
+        row = LinearConstraint.from_dict(self.neg_obj, delta - value, "cutoff")
+        if self.cutoff is None:
+            self.cutoff = len(self.rows)
+            self.rows.append(row)
+        else:
+            self.rows[self.cutoff] = row
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        has_objective = bool(self.int_obj or self.cont_obj)
+        has_objective = bool(self.neg_obj)
         while True:
             start = len(self.trail.changes)
             fix = propagate_fixpoint(self.trail, self.rows, self.disjunctions)

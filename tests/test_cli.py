@@ -125,9 +125,15 @@ def test_bad_input_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_flags():
+def test_bad_flags(tmp_path, capsys):
     assert main(["solve"]) == EXIT_INPUT_ERROR
     assert main([]) == EXIT_INPUT_ERROR
+    capsys.readouterr()
+    path = _write(tmp_path, "a.opb", OPB)
+    for command in ("solve", "twophase"):
+        for flag, value in (("--node-limit", "0"), ("--conflict-limit", "-1")):
+            assert main([command, path, flag, value]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err == "error: limits must be positive\n"
 
 
 def test_seed_flag_is_rejected(tmp_path, capsys):

@@ -26,8 +26,13 @@ def _load(name):
     [
         ("two_phase_experiment", ["--size", "2", "--quiet"]),
         ("validate_random", ["--binary", "3", "--mixed", "2", "--integer", "2"]),
+        (
+            "transcript",
+            ["--binary", "4", "--mixed", "2", "--integer", "2", "--every", "2",
+             "--desk", "1", "--pigeonhole", "4"],
+        ),
     ],
-    ids=["two_phase_experiment", "validate_random"],
+    ids=["two_phase_experiment", "validate_random", "transcript"],
 )
 def test_script_main_succeeds(name, argv):
     assert _load(name).main(argv) == 0

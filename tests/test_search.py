@@ -22,6 +22,7 @@ from cutlearn.model import (
     evaluate,
 )
 from cutlearn.oracle import oracle_optimum, validate_learned
+from cutlearn.rationals import INF, NEG_INF
 from cutlearn.search import (
     SolverConfig,
     parse_learned_line,
@@ -178,6 +179,89 @@ def test_conflict_on_an_installed_disjunction_is_analyzed(monkeypatch):
         assert validate_learned(problem, obj)
 
 
+# -- unbounded integers --------------------------------------------------------
+
+
+def _lb_only_integer():
+    """x integer [0, inf], y binary, min x + y, x + y >= 3: optimum 3."""
+    vs = [
+        Variable(0, "x", VarKind.INTEGER, F(0), INF),
+        Variable(1, "y", VarKind.BINARY, F(0), F(1)),
+    ]
+    rows = [({0: F(1), 1: F(1)}, ">=", F(3))]
+    return build_problem(vs, rows, {0: F(1), 1: F(1)}), F(3)
+
+
+def _ub_only_integer():
+    """x integer [-inf, 5], y binary, min y, x + y <= 10: optimum 0, with x
+    unbounded below."""
+    vs = [
+        Variable(0, "x", VarKind.INTEGER, NEG_INF, F(5)),
+        Variable(1, "y", VarKind.BINARY, F(0), F(1)),
+    ]
+    rows = [({0: F(-1), 1: F(-1)}, ">=", F(-10))]
+    return build_problem(vs, rows, {1: F(1)}), F(0)
+
+
+def _free_integer():
+    """x free integer, z in [0, 10], min z, z = 2x - 1: optimum 1."""
+    vs = [
+        Variable(0, "x", VarKind.INTEGER, NEG_INF, INF),
+        Variable(1, "z", VarKind.CONTINUOUS, F(0), F(10)),
+    ]
+    rows = [
+        ({0: F(2), 1: F(-1)}, ">=", F(1)),
+        ({0: F(-2), 1: F(1)}, ">=", F(-1)),
+    ]
+    return build_problem(vs, rows, {1: F(1)}), F(1)
+
+
+@pytest.mark.parametrize(
+    "model", [_lb_only_integer, _ub_only_integer, _free_integer]
+)
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_unbounded_integer_solves_to_known_optimum(model, strategy):
+    """The oracle refuses infinite integer domains, so the optima are
+    known by hand."""
+    problem, optimum = model()
+    for result in (
+        solve(problem, SolverConfig(strategy=strategy)),
+        run_two_phase(problem, SolverConfig(strategy=strategy))[1],
+    ):
+        assert result.status == "optimal" and result.objective == optimum
+        for C in problem.constraints:
+            assert evaluate(C, list(result.witness)).satisfied
+
+
+# -- objective cutoff ----------------------------------------------------------
+
+
+def test_one_cutoff_row_replaced_in_place():
+    """Seven incumbents and one installed learned row: the cutoff row is
+    appended for the first incumbent and replaced for every later one."""
+    problem = random_binary_problem(93)
+    solver = search._Solver(problem, SolverConfig())
+    incumbents = []
+    add = solver._add_cutoff_row
+
+    def add_and_check(value):
+        add(value)
+        (row,) = [r for r in solver.rows if r.origin == "cutoff"]
+        assert solver.rows[solver.cutoff] is row
+        incumbents.append(value)
+
+    solver._add_cutoff_row = add_and_check
+    result = solver.run()
+    assert len(incumbents) >= 3 and solver.learned_row_idx
+    assert incumbents[-1] == result.objective
+    (row,) = [r for r in solver.rows if r.origin == "cutoff"]
+    assert row.rhs == 1 - result.objective  # integral objective: delta = 1
+    assert len(solver.rows) == (
+        len(problem.constraints) + len(solver.learned_row_idx) + 1
+    )
+    assert_agrees_with_oracle(problem, result)
+
+
 # -- two-phase ----------------------------------------------------------------
 
 
@@ -217,12 +301,18 @@ def test_select_branching_lowest_index_down_first():
 
 
 def test_select_branching_splits_integer_range():
-    vs = [Variable(0, "z", VarKind.INTEGER, F(0), F(5))]
-    problem = build_problem(vs, [])
-    t = Trail(vs)
-    var, kind, value, flip_kind, flip_value = select_branching(t, problem)
-    assert (var, kind, value) == (0, BoundKind.UPPER, F(2))
-    assert (flip_kind, flip_value) == (BoundKind.LOWER, F(3))
+    up, down = BoundKind.LOWER, BoundKind.UPPER
+    for lb, ub, first, second in [
+        (F(0), F(5), (down, F(2)), (up, F(3))),
+        (F(0), INF, (down, F(0)), (up, F(1))),
+        (NEG_INF, F(4), (up, F(4)), (down, F(3))),
+        (NEG_INF, INF, (down, F(0)), (up, F(1))),
+    ]:
+        vs = [Variable(0, "z", VarKind.INTEGER, lb, ub)]
+        problem = build_problem(vs, [])
+        t = Trail(vs)
+        var, kind, value, flip_kind, flip_value = select_branching(t, problem)
+        assert (var, (kind, value), (flip_kind, flip_value)) == (0, first, second)
 
 
 def test_select_branching_skips_fixed_and_continuous():
@@ -260,16 +350,6 @@ def test_config_validation():
         SolverConfig(node_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(mode="bogus")
-
-
-def test_on_learned_hook_sees_every_object():
-    problem = random_mbp_problem(52)
-    seen = []
-    result = solve(problem, SolverConfig(on_learned=seen.append))
-    assert result.learned
-    assert len(seen) >= len(result.learned)
-    for obj in result.learned:
-        assert obj in seen
 
 
 # -- learned-object files -----------------------------------------------------
