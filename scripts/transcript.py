@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""One line per solver result, for diffing two versions of the solver.
+"""One line per solver result and per conflict analysis, for diffing two
+versions of the solver.
 
-Each line names the instance, the strategy and the call (``solve``, or
-``phase1``/``phase2`` of ``run_two_phase``), then gives the status, the
-objective, the witness, every ``Stats`` field and the learned objects.  The
-instances are the random sweep generators (through both ``solve`` and
-``run_two_phase``), the desk corpus (``run_two_phase``) and PHP(p, p - 1)
-(``solve``).  ``--every N`` keeps every Nth sweep seed.
+Each result line names the instance, the strategy and the call (``solve``,
+or ``phase1``/``phase2`` of ``run_two_phase``), then gives the status, the
+objective, the witness, every ``Stats`` field and the learned objects.  After
+a call's result lines come its analyses, one line for each result the solver
+handed to ``on_analysis``, in order: the outcome, the learned object and its
+origin, the backjump target, the iteration count, the rows resolved through,
+the conflicting state and the trace.  The instances are the random sweep
+generators (through both ``solve`` and ``run_two_phase``), the desk corpus
+(``run_two_phase``) and PHP(p, p - 1) (``solve``).  ``--every N`` keeps every
+Nth sweep seed.
 
 Run it once with each checkout's ``src`` on ``PYTHONPATH`` and diff the
 outputs; a change that keeps the search leaves them identical:
@@ -54,6 +59,26 @@ def format_result(label, result):
     )
 
 
+def _state(state):
+    return "-" if state is None else f"({state.level},{state.index})"
+
+
+def format_analysis(label, k, out):
+    if out.learned is None:
+        learned = origin = "-"
+    else:
+        learned, origin = serialize_learned(out.learned), out.learned.origin
+    used = ",".join(str(i) for i in out.used_row_indices)
+    trace = "; ".join(out.trace)
+    return (
+        f"{label} analysis={k} outcome={out.outcome} learned=[{learned}] "
+        f"origin={origin} "
+        f"backjump={_state(out.backjump_target)} iterations={out.iterations} "
+        f"used=[{used}] conflicting={_state(out.conflicting_state)} "
+        f"trace=[{trace}]"
+    )
+
+
 def instances(args):
     """(name, problem, calls) in output order, calls drawn from
     ("solve", "twophase")."""
@@ -87,14 +112,22 @@ def main(argv=None):
 
     for name, problem, calls in instances(args):
         for strategy in ReductionStrategy:
-            config = SolverConfig(strategy=strategy)
+            analyses = []
+            config = SolverConfig(
+                strategy=strategy,
+                on_analysis=lambda out, trail: analyses.append(out),
+            )
             prefix = f"{name} {strategy.value}"
-            if "solve" in calls:
-                print(format_result(f"{prefix} solve", solve(problem, config)))
-            if "twophase" in calls:
-                r1, r2, _ = run_two_phase(problem, config)
-                print(format_result(f"{prefix} phase1", r1))
-                print(format_result(f"{prefix} phase2", r2))
+            for call in calls:
+                analyses.clear()
+                if call == "solve":
+                    print(format_result(f"{prefix} solve", solve(problem, config)))
+                else:
+                    r1, r2, _ = run_two_phase(problem, config)
+                    print(format_result(f"{prefix} phase1", r1))
+                    print(format_result(f"{prefix} phase2", r2))
+                for k, out in enumerate(analyses, 1):
+                    print(format_analysis(f"{prefix} {call}", k, out))
     return 0
 
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .cuts import ReductionStrategy
-from .fileio import ParseError, emit_stats, parse_native, parse_opb
+from .fileio import ParseError, emit_result_stats, parse_native, parse_opb
 from .model import Problem
 from .oracle import OracleError, oracle_optimum, validate_learned
 from .rationals import format_rational
 from .search import (
+    SolveResult,
     SolverConfig,
     run_two_phase,
     solve,
@@ -32,6 +33,22 @@ def _load_problem(path: str) -> Problem:
     if path.endswith(".opb"):
         return parse_opb(text)
     return parse_native(text)
+
+
+def _save(write: Callable[[str, object], None], path: str, payload) -> bool:
+    """``write(path, payload)``; False, with the error reported, if the
+    path cannot be written."""
+    try:
+        write(path, payload)
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_stats(path: str, result: SolveResult) -> None:
+    with open(path, "w") as fh:
+        fh.write(emit_result_stats(result) + "\n")
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
@@ -95,9 +112,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _cmd_solve(problem: Problem, config: SolverConfig, args) -> int:
     result = solve(problem, config)
     _report(result)
-    if args.stats_json:
-        with open(args.stats_json, "w") as fh:
-            fh.write(emit_stats(result.stats, result.status, result.objective) + "\n")
+    if args.stats_json and not _save(_write_stats, args.stats_json, result):
+        return EXIT_INPUT_ERROR
     return EXIT_LIMIT if result.status == "limit" else EXIT_OK
 
 
@@ -132,13 +148,12 @@ def _cmd_check(problem: Problem) -> int:
 
 def _cmd_twophase(problem: Problem, config: SolverConfig, args) -> int:
     r1, r2, objects = run_two_phase(problem, config)
-    print("phase1 " + emit_stats(r1.stats, r1.status, r1.objective))
-    print("phase2 " + emit_stats(r2.stats, r2.status, r2.objective))
-    if args.out_learned:
-        write_learned_file(args.out_learned, objects)
-    if args.stats_json:
-        with open(args.stats_json, "w") as fh:
-            fh.write(emit_stats(r2.stats, r2.status, r2.objective) + "\n")
+    print("phase1 " + emit_result_stats(r1))
+    print("phase2 " + emit_result_stats(r2))
+    if args.out_learned and not _save(write_learned_file, args.out_learned, objects):
+        return EXIT_INPUT_ERROR
+    if args.stats_json and not _save(_write_stats, args.stats_json, r2):
+        return EXIT_INPUT_ERROR
     if r1.status == "limit" or r2.status == "limit":
         return EXIT_LIMIT
     return EXIT_OK

@@ -28,6 +28,7 @@ from .model import (
     BoundAtom,
     BoundDisjunction,
     BoundKind,
+    LearnedObject,
     LinearConstraint,
     Variable,
     VarKind,
@@ -53,33 +54,21 @@ from .trail import (
     residual,
 )
 
-GRAPH_FALLBACK = "graph"
-
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    # outcome in {"learned", "learned_disjunction", "global_infeasibility",
-    # "abandoned"}
+    # outcome in {"learned", "global_infeasibility", "abandoned"}
     outcome: str
-    constraint: Optional[LinearConstraint] = None
-    disjunction: Optional[BoundDisjunction] = None
+    # A row, or a bound disjunction from the graph fallback; set iff learned.
+    learned: Optional[LearnedObject] = None
     backjump_target: Optional[StateId] = None
     iterations: int = 0
-    strategy_used: Optional[str] = None
     abandoned_reason: Optional[str] = None
     # State at which the learned object was (last known) infeasible.
     conflicting_state: Optional[StateId] = None
     # Indices of the rows whose reasons the derivation resolved through.
     used_row_indices: Tuple[int, ...] = ()
     trace: Tuple[str, ...] = ()
-
-    @property
-    def learned_object(self):
-        if self.outcome == "learned":
-            return self.constraint
-        if self.outcome == "learned_disjunction":
-            return self.disjunction
-        return None
 
 
 # -- state scans --------------------------------------------------------------
@@ -200,11 +189,6 @@ def is_asserting(
 
 
 @dataclass(frozen=True)
-class ReducedReason:
-    constraint: LinearConstraint
-
-
-@dataclass(frozen=True)
 class EarlierConflict:
     constraint: LinearConstraint
 
@@ -217,14 +201,15 @@ def reduce_mbp(
     prop_state: StateId,
     strategy: ReductionStrategy,
     used_rows: Optional[Set[int]] = None,
-) -> Union[ReducedReason, EarlierConflict]:
+) -> Union[LinearConstraint, EarlierConflict]:
     """Resolve out non-relaxable continuous variables, then reduce.
 
     Walks states strictly before ``prop_state`` in decreasing order; each
     visited state's change is on a continuous variable whose local bound
     blocks relaxing the working reason, and is cancelled using that state's
-    own reason.  If the aggregate becomes infeasible just before
-    ``prop_state``, it is itself a conflict and is returned as such.
+    own reason.  Returns the reduced reason, or, if the aggregate becomes
+    infeasible just before ``prop_state``, that aggregate as an
+    ``EarlierConflict`` to replace the conflicting row.
     """
     variables = trail.variables
     work = C_reason
@@ -269,25 +254,7 @@ def reduce_mbp(
     for j, _ in work.terms:
         if variables[j].kind is VarKind.CONTINUOUS:
             work = weaken(work, j, variables)
-    reduced = reduce_reason(strategy, work, C_confl, x_r, trail, prop_state)
-    return ReducedReason(reduced)
-
-
-@dataclass(frozen=True)
-class Resolved:
-    constraint: LinearConstraint
-
-
-@dataclass(frozen=True)
-class SeparationCut:
-    constraint: LinearConstraint
-
-
-class Failed:
-    pass
-
-
-FAILED = Failed()
+    return reduce_reason(strategy, work, C_confl, x_r, trail, prop_state)
 
 
 def resolve_general_integer(
@@ -296,31 +263,32 @@ def resolve_general_integer(
     x_r: int,
     trail: Trail,
     state: StateId,
-) -> Union[Resolved, SeparationCut, Failed]:
-    """Resolve a general-integer bound change, separating with a rounding cut
-    if plain resolution leaves the resolvent feasible.
+) -> LinearConstraint:
+    """The reason to resolve a general-integer bound change with.
 
-    The cut is the MIR cut of the reason in literal space, where every
-    variable lies on [0, ub - lb], mapped back to the original variables.
+    That is ``C_reason`` itself if the plain resolvent is infeasible at
+    ``state``, else the MIR cut of the reason in literal space, where every
+    variable lies on [0, ub - lb], mapped back to the original variables,
+    if its resolvent is.  Raises ReductionError when neither is.
     """
     variables = trail.variables
     lb, ub = trail.bounds_at(state)
+
+    def explains(reason: LinearConstraint) -> bool:
+        res = resolve(C_learn, reason, x_r)
+        return activity_bounds_max(res, lb, ub) < res.rhs
+
     try:
-        plain = resolve(C_learn, C_reason, x_r)
-    except CutError:
-        return FAILED
-    if activity_bounds_max(plain, lb, ub) < plain.rhs:
-        return Resolved(plain)
-    try:
+        if explains(C_reason):
+            return C_reason
         norm, record = normalize_for_reduction(C_reason, x_r, variables)
         cut = mir_cut(norm, literal_variables(norm, variables))
-        reduced = denormalize(cut, record, variables)
-        res = resolve(C_learn, reduced, x_r)
+        cut = denormalize(cut, record, variables)
+        if explains(cut):
+            return cut
     except ValueError:  # CutError is a ValueError
-        return FAILED
-    if activity_bounds_max(res, lb, ub) < res.rhs:
-        return SeparationCut(reduced)
-    return FAILED
+        pass
+    raise ReductionError("general-integer resolution failed")
 
 
 # -- Algorithm-1 main loop ----------------------------------------------------
@@ -333,8 +301,10 @@ def analyze(
 ) -> AnalysisResult:
     """Learn a globally valid constraint explaining the current conflict.
 
-    Returns Abandoned when a reason cannot be reduced (the caller may then
-    try ``graph_fallback``).
+    Every reason handler gives the row to resolve with, and one tail
+    resolves, checks tight resolutions, strengthens and records the step.
+    The result is "abandoned" when a reason cannot be reduced (the caller
+    may then try ``graph_fallback``).
     """
     variables = trail.variables
     conflict_level = trail.current_level
@@ -348,7 +318,6 @@ def analyze(
         return AnalysisResult(
             outcome,
             iterations=iterations,
-            strategy_used=strategy.value,
             used_row_indices=tuple(sorted(used)),
             trace=tuple(trace),
             **fields,
@@ -364,7 +333,7 @@ def analyze(
 
     while True:
         if global_max_activity(C_learn, variables) < C_learn.rhs:
-            return result("global_infeasibility", constraint=C_learn)
+            return result("global_infeasibility")
         asserting_at = is_asserting(C_learn, trail, conflict_level)
         s = min_infeasible_state(C_learn, trail)
         if s is None:
@@ -374,16 +343,14 @@ def analyze(
         if asserting_at is not None:
             return result(
                 "learned",
-                constraint=_with_origin(C_learn, strategy),
+                learned=_with_origin(C_learn, strategy),
                 backjump_target=asserting_at,
                 conflicting_state=s,
             )
         if s.level == 0:
             # Conflicts with globally valid root deductions: no feasible
             # point exists.
-            return result(
-                "global_infeasibility", constraint=C_learn, conflicting_state=s
-            )
+            return result("global_infeasibility", conflicting_state=s)
         if prev_state is not None and s >= prev_state:
             return result(
                 "abandoned", abandoned_reason="no progress in the backward walk"
@@ -405,7 +372,6 @@ def analyze(
         C_reason = ch.reason.row
         used.add(ch.reason.index)
         r = ch.var
-        action = "resolve"
         try:
             if is_tight_propagation(ch, trail):
                 reduced = C_reason
@@ -416,33 +382,21 @@ def analyze(
                     for j, _ in C_reason.terms
                 )
                 if has_continuous:
-                    out = reduce_mbp(
+                    reduced = reduce_mbp(
                         C_reason, C_learn, r, trail, s, strategy, used
                     )
-                    if isinstance(out, EarlierConflict):
-                        C_learn = out.constraint
+                    if isinstance(reduced, EarlierConflict):
+                        C_learn = reduced.constraint
                         step(s, r, "earlier-conflict")
                         continue
-                    reduced = out.constraint
                     action = "mbp"
                 else:
                     reduced = reduce_reason(strategy, C_reason, C_learn, r, trail, s)
                     action = strategy.value
             else:
                 # A general integer: continuous propagations are always tight.
-                out = resolve_general_integer(C_reason, C_learn, r, trail, s)
-                if isinstance(out, Failed):
-                    return result(
-                        "abandoned",
-                        abandoned_reason="general-integer resolution failed",
-                        conflicting_state=s,
-                    )
-                if isinstance(out, Resolved):
-                    C_learn = _strengthen(out.constraint, variables)
-                    step(s, r, "int-resolve")
-                    continue
-                reduced = out.constraint
-                action = "separation-cut"
+                reduced = resolve_general_integer(C_reason, C_learn, r, trail, s)
+                action = "int-resolve" if reduced is C_reason else "separation-cut"
         except ReductionError as exc:
             return result(
                 "abandoned", abandoned_reason=str(exc), conflicting_state=s
@@ -563,9 +517,7 @@ def graph_fallback(
     state = trail.current_state
     level = state.level
     if level == 0:
-        return AnalysisResult(
-            "global_infeasibility", strategy_used=GRAPH_FALLBACK
-        )
+        return AnalysisResult("global_infeasibility")
     used: Set[int] = set()
     seed = _reason_sources(trail, conflict, state)
     contributions = _atom_sources(trail, seed, used)
@@ -593,9 +545,7 @@ def graph_fallback(
                 earlier[nc.state] = nc
     atoms_src = sorted(earlier.values(), key=lambda c: c.state) + open_here
     if not atoms_src:
-        return AnalysisResult(
-            "global_infeasibility", strategy_used=GRAPH_FALLBACK
-        )
+        return AnalysisResult("global_infeasibility")
     atoms = []
     seen_keys = set()
     for ch in atoms_src:
@@ -608,7 +558,6 @@ def graph_fallback(
         seen_keys.add(key)
         atoms.append(atom)
 
-    backjump = _fallback_backjump(trail, atoms_src)
     if all(variables[a.var].kind is VarKind.BINARY for a in atoms):
         # The clause over the atoms' literals: x for x >= 1, 1 - x for x <= 0.
         clause = complement(
@@ -616,23 +565,14 @@ def graph_fallback(
             [a.var for a in atoms if a.kind is BoundKind.UPPER],
             variables,
         )
-        clause = LinearConstraint(clause.terms, clause.rhs, "learned:graph")
-        return AnalysisResult(
-            "learned",
-            constraint=clause,
-            backjump_target=backjump,
-            iterations=iterations,
-            strategy_used=GRAPH_FALLBACK,
-            conflicting_state=state,
-            used_row_indices=tuple(sorted(used)),
-        )
-    disjunction = BoundDisjunction(tuple(atoms), "learned:graph")
+        learned = LinearConstraint(clause.terms, clause.rhs, "learned:graph")
+    else:
+        learned = BoundDisjunction(tuple(atoms), "learned:graph")
     return AnalysisResult(
-        "learned_disjunction",
-        disjunction=disjunction,
-        backjump_target=backjump,
+        "learned",
+        learned,
+        backjump_target=_fallback_backjump(trail, atoms_src),
         iterations=iterations,
-        strategy_used=GRAPH_FALLBACK,
         conflicting_state=state,
         used_row_indices=tuple(sorted(used)),
     )

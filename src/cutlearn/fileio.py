@@ -8,6 +8,7 @@ rationals; scientific notation is rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .model import LinearConstraint, Problem, Variable, VarKind, build_problem
 from .rationals import (
     INF,
     NEG_INF,
+    Ext,
     Rat,
     format_ext,
     format_rational,
@@ -160,14 +162,14 @@ def _parse_var_line(line, lineno, idx, index) -> Variable:
     kind = VarKind(kind_s)
     if kind is VarKind.BINARY:
         if lo_s is not None and (
-            parse_ext(lo_s) != 0 or parse_ext(hi_s) != 1
+            _parse_bound(lo_s, lineno) != 0 or _parse_bound(hi_s, lineno) != 1
         ):
             raise ParseError(f"binary variable {name!r} must have bounds [0,1]", lineno)
         lo, hi = Fraction(0), Fraction(1)
     else:
         if lo_s is None:
             raise ParseError(f"variable {name!r} needs explicit bounds", lineno)
-        lo, hi = parse_ext(lo_s), parse_ext(hi_s)
+        lo, hi = _parse_bound(lo_s, lineno), _parse_bound(hi_s, lineno)
     index[name] = idx
     try:
         return Variable(idx, name, kind, lo, hi)
@@ -180,6 +182,13 @@ def _parse_number(text: str, lineno: int) -> Rat:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed rational {text!r}", lineno)
+
+
+def _parse_bound(text: str, lineno: int) -> Ext:
+    try:
+        return parse_ext(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed bound {text.strip()!r}", lineno)
 
 
 def _parse_terms(text: str, index: Dict[str, int], lineno: int) -> Dict[int, Rat]:
@@ -237,36 +246,16 @@ def _format_terms(problem: Problem, terms: Dict[int, Rat]) -> str:
 
 # -- statistics ----------------------------------------------------------------
 
-_STATS_KEYS = (
-    "nodes",
-    "conflicts_analyzed",
-    "learned_linear",
-    "learned_disjunctions",
-    "fallbacks",
-    "avg_learned_length",
-    "used_pct",
-    "bdchgs_by_learned",
-    "propagation_capped",
+_STATS_KEYS = tuple(f.name for f in dataclasses.fields(Stats)) + (
     "status",
     "objective",
 )
 
 
 def emit_stats(stats: Stats, status: str = "", objective: Optional[Rat] = None) -> str:
-    payload = {
-        "nodes": stats.nodes,
-        "conflicts_analyzed": stats.conflicts_analyzed,
-        "learned_linear": stats.learned_linear,
-        "learned_disjunctions": stats.learned_disjunctions,
-        "fallbacks": stats.fallbacks,
-        "avg_learned_length": stats.avg_learned_length,
-        "used_pct": stats.used_pct,
-        "bdchgs_by_learned": stats.bdchgs_by_learned,
-        "propagation_capped": stats.propagation_capped,
-        "status": status,
-        "objective": None if objective is None else format_rational(objective),
-    }
-    assert tuple(payload) == _STATS_KEYS
+    payload = dataclasses.asdict(stats)
+    payload["status"] = status
+    payload["objective"] = None if objective is None else format_rational(objective)
     return json.dumps(payload)
 
 

@@ -189,6 +189,11 @@ class BoundDisjunction:
             seen.add(key)
 
 
+# What conflict analysis learns and search installs.  Not a ``typing.Union``:
+# typing's cache would keep every re-imported copy of these classes alive.
+LearnedObject = LinearConstraint | BoundDisjunction
+
+
 @dataclass(frozen=True)
 class Problem:
     variables: Tuple[Variable, ...]

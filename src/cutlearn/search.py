@@ -23,6 +23,7 @@ from .model import (
     BoundAtom,
     BoundDisjunction,
     BoundKind,
+    LearnedObject,
     LinearConstraint,
     Problem,
     VarKind,
@@ -39,10 +40,6 @@ from .rationals import (
     parse_rational,
 )
 from .trail import DisjunctionReason, RowReason, StateId, Trail
-
-# Not a ``typing.Union``: typing's cache would keep every re-imported copy of
-# the model's classes alive.
-LearnedObject = LinearConstraint | BoundDisjunction
 
 
 class SolverError(Exception):
@@ -527,7 +524,7 @@ class _Solver:
             if self.config.mode == "generate":
                 return False  # keep the tree identical across strategies
             return None
-        obj = out.learned_object
+        obj = out.learned
         if self.config.mode == "generate":
             self._record(obj)
             return False

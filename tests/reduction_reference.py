@@ -4,10 +4,11 @@ rounding.
 
 A verbatim copy of the earlier ``normalize_for_reduction``/``denormalize``,
 the four binary reductions with their inline rounding functions, ``mir_cut``
-and ``resolve_general_integer``, kept as the reference for the differential
-test in ``test_cuts.py``.  Only the model, the trail, ``resolve``, the error
-types and the result types are shared with ``cutlearn``, so that results and
-failures compare equal.
+and ``resolve_general_integer`` with the result types it returned, kept as
+the reference for the differential test in ``test_cuts.py``.  Only the model,
+the trail, ``resolve`` and the error types are shared with ``cutlearn``, so
+that results and failures compare equal; ``test_cuts.py`` maps this
+``resolve_general_integer``'s results and the solver's to one form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from cutlearn.conflict import FAILED, Failed, Resolved, SeparationCut
 from cutlearn.cuts import CutError, ReductionError, resolve
 from cutlearn.model import LinearConstraint, Variable, VarKind
 from cutlearn.rationals import (
@@ -322,6 +322,23 @@ def _resolvent_infeasible(
     except CutError:
         return False
     return infeasible_at(res, trail, state)
+
+
+@dataclass(frozen=True)
+class Resolved:
+    constraint: LinearConstraint
+
+
+@dataclass(frozen=True)
+class SeparationCut:
+    constraint: LinearConstraint
+
+
+class Failed:
+    pass
+
+
+FAILED = Failed()
 
 
 def resolve_general_integer(

@@ -13,9 +13,6 @@ import time
 import pytest
 
 from cutlearn.conflict import (
-    Failed,
-    ReducedReason,
-    SeparationCut,
     analyze,
     min_infeasible_state,
     reduce_mbp,
@@ -154,13 +151,13 @@ def test_criterion_3_continuous_elimination_learns_mixed_row():
     step2 = resolve(step1, rows[4], 4)
     assert step2 == mk({0: F(35, 2), 2: F(-7, 2)}, F(1, 4))
     out = reduce_mbp(rows[1], rows[2], 0, t, StateId(1, 5), ReductionStrategy.CMIR)
-    assert isinstance(out, ReducedReason)
-    assert out.constraint == mk({0: 1}, 1)
+    assert isinstance(out, LinearConstraint)
+    assert out == mk({0: 1}, 1)
 
     # the full analysis learns a mixed row, infeasible inside the x2 <= 0 level
     result = analyze(rows[2], t, ReductionStrategy.CMIR)
     assert result.outcome == "learned"
-    learned = result.constraint
+    learned = result.learned
     assert learned == mk({3: 5, 4: -10}, 4)
     assert result.conflicting_state == StateId(1, 4)
     assert infeasible_at(learned, t, result.conflicting_state)
@@ -181,15 +178,16 @@ def _check_analysis(out, trail, counters):
     counters["tight_resolutions"] += sum(
         1 for line in out.trace if "action=tight" in line
     )
-    if out.outcome == "learned":
-        assert out.conflicting_state is not None
-        assert infeasible_at(out.constraint, trail, out.conflicting_state)
-        counters["state_checks"] += 1
-    elif out.outcome == "learned_disjunction":
+    if out.outcome != "learned":
+        return
+    assert out.conflicting_state is not None
+    if isinstance(out.learned, LinearConstraint):
+        assert infeasible_at(out.learned, trail, out.conflicting_state)
+    else:
         lb, ub = trail.bounds_at(out.conflicting_state)
-        for atom in out.disjunction.atoms:
+        for atom in out.learned.atoms:
             assert atom.holds(lb[atom.var], ub[atom.var]) is False
-        counters["state_checks"] += 1
+    counters["state_checks"] += 1
 
 
 def _run_agreement_sweep():
@@ -421,9 +419,7 @@ def test_criterion_9_general_integer_cut_and_disjunction_fallback():
     t.push_decision(1, BoundKind.UPPER, 0)
     res = propagate_fixpoint(t, [reason, confl])
     assert res.conflict
-    out = resolve_general_integer(reason, confl, 0, t, t.current_state)
-    assert isinstance(out, SeparationCut)
-    cut = out.constraint
+    cut = resolve_general_integer(reason, confl, 0, t, t.current_state)
     assert cut == mk({0: 1, 1: 1}, 2)
     problem = build_problem(
         vs, [(dict(C.terms), ">=", C.rhs) for C in (reason, confl)]
@@ -442,8 +438,8 @@ def test_criterion_9_general_integer_cut_and_disjunction_fallback():
     confl2 = fb.constraints[res2.source[1]]
     s2 = min_infeasible_state(confl2, t2)
     ch = t2.change_at(s2)
-    failed = resolve_general_integer(ch.reason.row, confl2, ch.var, t2, s2)
-    assert isinstance(failed, Failed)
+    with pytest.raises(ReductionError, match="general-integer resolution failed"):
+        resolve_general_integer(ch.reason.row, confl2, ch.var, t2, s2)
 
     result = solve(fb)
     truth = oracle_optimum(fb)

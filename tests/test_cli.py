@@ -123,6 +123,24 @@ def test_bad_input_paths(tmp_path, capsys):
     bad = _write(tmp_path, "bad.opb", "+1 x1 >= 1\n")
     assert main(["solve", bad]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+    bound = _write(tmp_path, "bound.txt", "var x integer [1/0, 5]\n")
+    assert main(["solve", bound]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: line 1: malformed bound '1/0'\n"
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    """An output path in a missing directory is reported, not a traceback."""
+    path = _write(tmp_path, "p.txt", print_native(random_mbp_problem(52)))
+    missing = str(tmp_path / "missing" / "out.txt")
+    for argv in (
+        ["solve", path, "--stats-json", missing],
+        ["twophase", path, "--stats-json", missing],
+        ["twophase", path, "--out-learned", missing],
+    ):
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing!r}: ")
+        assert err.count("\n") == 1
 
 
 def test_bad_flags(tmp_path, capsys):

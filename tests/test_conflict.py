@@ -6,10 +6,6 @@ from hypothesis import strategies as st
 
 from cutlearn.conflict import (
     EarlierConflict,
-    Failed,
-    ReducedReason,
-    Resolved,
-    SeparationCut,
     analyze,
     graph_fallback,
     is_asserting,
@@ -17,8 +13,14 @@ from cutlearn.conflict import (
     reduce_mbp,
     resolve_general_integer,
 )
-from cutlearn.cuts import ReductionStrategy, resolve
-from cutlearn.model import BoundKind, Variable, VarKind
+from cutlearn.cuts import ReductionError, ReductionStrategy, resolve
+from cutlearn.model import (
+    BoundDisjunction,
+    BoundKind,
+    LinearConstraint,
+    Variable,
+    VarKind,
+)
 from cutlearn.propagation import propagate_fixpoint
 from cutlearn.rationals import (
     INF,
@@ -297,8 +299,8 @@ def test_continuous_elimination_chain():
     step2 = resolve(step1, rows[4], 4)
     assert step2 == mk({0: F(35, 2), 2: F(-7, 2)}, F(1, 4))
     out = reduce_mbp(rows[1], rows[2], 0, t, StateId(1, 5), ReductionStrategy.CMIR)
-    assert isinstance(out, ReducedReason)
-    assert out.constraint == mk({0: 1}, 1)
+    assert isinstance(out, LinearConstraint)
+    assert out == mk({0: 1}, 1)
 
 
 @pytest.mark.parametrize("strategy", list(ReductionStrategy))
@@ -306,7 +308,7 @@ def test_mbp_analysis_learns_continuous_row(strategy):
     vs, rows, t = _mbp_conflict()
     result = analyze(rows[2], t, strategy)
     assert result.outcome == "learned"
-    assert result.constraint == mk({3: 5, 4: -10}, 4)
+    assert result.learned == mk({3: 5, 4: -10}, 4)
     assert result.backjump_target == INITIAL_STATE
     assert result.conflicting_state == StateId(1, 4)
     assert result.iterations == 1
@@ -331,8 +333,8 @@ def test_general_integer_plain_resolution():
     t.push_decision(1, BoundKind.UPPER, 0)
     propagate_fixpoint(t, [R, Cc])
     out = resolve_general_integer(R, Cc, 0, t, t.current_state)
-    assert isinstance(out, Resolved)
-    assert out.constraint == mk({1: F(1, 2)}, F(1, 2))
+    assert out is R
+    assert resolve(Cc, out, 0) == mk({1: F(1, 2)}, F(1, 2))
 
 
 def test_general_integer_separation_cut():
@@ -345,9 +347,7 @@ def test_general_integer_separation_cut():
     t.push_decision(1, BoundKind.UPPER, 0)
     res = propagate_fixpoint(t, [R, Cc])
     assert res.conflict
-    out = resolve_general_integer(R, Cc, 0, t, t.current_state)
-    assert isinstance(out, SeparationCut)
-    cut = out.constraint
+    cut = resolve_general_integer(R, Cc, 0, t, t.current_state)
     assert cut == mk({0: 1, 1: 1}, 2)
     # valid for the reason's integer points
     for z in range(6):
@@ -375,8 +375,8 @@ def test_general_integer_separation_failure():
     s = min_infeasible_state(Cc, t)
     ch = t.change_at(s)
     assert ch.var == 1 and ch.pre_rounding == F(3, 2)
-    out = resolve_general_integer(ch.reason.row, Cc, ch.var, t, s)
-    assert isinstance(out, Failed)
+    with pytest.raises(ReductionError, match="general-integer resolution failed"):
+        resolve_general_integer(ch.reason.row, Cc, ch.var, t, s)
     result = analyze(Cc, t, ReductionStrategy.CMIR)
     assert result.outcome == "abandoned"
     assert result.abandoned_reason == "general-integer resolution failed"
@@ -395,7 +395,7 @@ def test_graph_fallback_binary_clause():
     assert res.conflict
     out = graph_fallback(t, rows[0])
     assert out.outcome == "learned"
-    assert out.constraint == mk({0: 1, 1: 1}, 1)
+    assert out.learned == mk({0: 1, 1: 1}, 1)
     assert out.backjump_target == StateId(1, 0)
 
 
@@ -410,8 +410,9 @@ def test_graph_fallback_integer_disjunction():
     res = propagate_fixpoint(t, rows)
     assert res.conflict
     out = graph_fallback(t, rows[res.source[1]])
-    assert out.outcome == "learned_disjunction"
-    (atom,) = out.disjunction.atoms
+    assert out.outcome == "learned"
+    assert isinstance(out.learned, BoundDisjunction)
+    (atom,) = out.learned.atoms
     assert (atom.var, atom.kind, atom.value) == (0, BoundKind.LOWER, F(2))
     assert out.backjump_target == INITIAL_STATE
     # the disjunction is valid: every feasible integer point has w >= 2

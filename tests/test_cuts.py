@@ -22,10 +22,9 @@ from cutlearn.cuts import (
     resolve,
     weaken,
 )
-from cutlearn.conflict import Resolved, SeparationCut, resolve_general_integer
+from cutlearn.conflict import resolve_general_integer
 from cutlearn.model import (
     BoundKind,
-    LinearConstraint,
     Variable,
     VarKind,
     complement,
@@ -454,16 +453,26 @@ def reduction_cases(draw):
 
 def _reduction_outcome(f, *args):
     """A returned constraint with its origin, or the exception's type and
-    message."""
+    message.
+
+    The general-integer separation is mapped to one form for both APIs: the
+    solver returns the reason itself where the reference returns the plain
+    resolvent, and raises where the reference returns ``FAILED``.
+    """
     try:
         out = f(*args)
     except (ValueError, ReductionError) as exc:
         return type(exc), str(exc)
-    if isinstance(out, LinearConstraint):
-        return out, out.origin
-    if isinstance(out, (Resolved, SeparationCut)):
-        return out, out.constraint.origin
-    return out, None
+    if out is ref.FAILED:
+        return ReductionError, "general-integer resolution failed"
+    if isinstance(out, ref.Resolved):
+        return "plain resolvent", out.constraint
+    if f is resolve_general_integer and out is args[0]:
+        reason, confl, r = args[:3]
+        return "plain resolvent", resolve(confl, reason, r)
+    if isinstance(out, ref.SeparationCut):
+        out = out.constraint
+    return out, out.origin
 
 
 @settings(max_examples=600, deadline=None)

@@ -115,6 +115,14 @@ def test_parse_native_errors():
         parse_native("var x binary\ncon c + 1 x >= 0\n")  # missing ':'
     with pytest.raises(ParseError):
         parse_native("what is this\n")
+    for line in (
+        "var x integer [foo, 3]",
+        "var x binary [zz, 1]",
+        "var x integer [1e3, 5]",
+        "var x integer [1/0, 5]",
+    ):
+        with pytest.raises(ParseError, match="^line 2: malformed bound"):
+            parse_native("# a malformed bound\n" + line + "\n")
 
 
 def test_print_native_roundtrip():

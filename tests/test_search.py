@@ -172,9 +172,9 @@ def test_conflict_on_an_installed_disjunction_is_analyzed(monkeypatch):
     assert_agrees_with_oracle(problem, result)
     ((conflict, out),) = seen
     assert conflict == installed[0]
-    assert out.constraint == mk({0: 1}, 1) and out.iterations == 4
+    assert out.learned == mk({0: 1}, 1) and out.iterations == 4
     assert out.used_row_indices == (1, 2)
-    assert result.learned == (out.constraint,)
+    assert result.learned == (out.learned,)
     for obj in installed + result.learned:
         assert validate_learned(problem, obj)
 
