@@ -38,20 +38,15 @@ from .model import (
     normalize_for_reduction,
 )
 from .propagation import is_tight_propagation
-from .rationals import ONE
+from .rationals import INF, ONE, ZERO, Ext, is_finite
 from .trail import (
     INITIAL_STATE,
     BoundChange,
     RowReason,
     StateId,
     Trail,
-    activity,
     activity_bounds_max,
-    global_bounds,
-    global_max_activity,
-    global_min_activity,
     infeasible_at,
-    residual,
 )
 
 
@@ -77,67 +72,81 @@ class AnalysisResult:
 class _ActivityWalk:
     """C's max activity, kept while walking the trail forward from the root.
 
-    The walk starts from the activity kernel at the global bounds: the
-    exact sum of the finite contributions and the number of infinite ones.
-    ``apply`` updates it in O(1) per bound change, and only a change on a
-    variable of C can move it.  With ``bottoms`` the walk also keeps, for
-    each variable of C, a_j times its other bound, the one that minimizes
-    the term, for the propagation test; only ``propagates`` reads it.  An
-    infinite contribution is stored as None.
+    The walk starts at the global bounds, set up in one pass over C's terms:
+    the exact sum of the finite max contributions and the variables whose
+    contribution is infinite.  ``apply`` updates it in O(1) per change on a
+    variable of C.  With ``bottoms`` it also keeps, for ``propagates``, a_j
+    times the bound that minimizes each term.  Infinite values are None.
     """
 
-    def __init__(
-        self, C: LinearConstraint, variables: Sequence[Variable], bottoms: bool
-    ):
+    def __init__(self, C: LinearConstraint, variables: Sequence[Variable], bottoms: bool):
         self.rhs = C.rhs
         self.coef = dict(C.terms)
-        lb, ub = global_bounds(C, variables)
-        self.finite, self.infinite, top = activity(C, lb, ub)
-        self.top = dict(zip(self.coef, top))  # j -> a_j times the maximizing bound
-        self.bottom = {}  # j -> a_j times the minimizing bound
-        if bottoms:
-            self.bottom = dict(zip(self.coef, activity(C, ub, lb).contribs))
+        top = self.top = {}  # j -> a_j times the maximizing bound
+        bottom = self.bottom = {}  # j -> a_j times the minimizing bound
+        unbounded = self.unbounded = set()  # j whose top is infinite
+        self.widest = self.span = None  # the widest span's j and width, once known
+        finite = ZERO
+        for j, a in C.terms:
+            v = variables[j]
+            hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
+            if is_finite(hi):
+                top[j] = a * hi
+                finite += top[j]
+            else:
+                top[j] = None
+                unbounded.add(j)
+            if bottoms:
+                bottom[j] = a * lo if is_finite(lo) else None
+        self.finite = finite
 
     def apply(self, ch: BoundChange) -> bool:
         """Apply one change; False if its variable is not in C."""
-        a = self.coef.get(ch.var)
+        j = ch.var
+        a = self.coef.get(j)
         if a is None:
             return False
+        if j == self.widest:
+            self.widest = None
         value = a * ch.new_value
         if (ch.kind is BoundKind.UPPER) != (a > 0):
-            self.bottom[ch.var] = value
+            self.bottom[j] = value
             return True
-        old = self.top[ch.var]
+        old = self.top[j]
         if old is None:
-            self.infinite -= 1
+            self.unbounded.discard(j)
         else:
             self.finite -= old
         self.finite += value
-        self.top[ch.var] = value
+        self.top[j] = value
         return True
 
     def infeasible(self) -> bool:
-        return self.infinite == 0 and self.finite < self.rhs
+        return not self.unbounded and self.finite < self.rhs
 
     def propagates(self) -> bool:
         """Would C tighten some bound of one of its variables?
 
-        C tightens x_j iff putting x_j at its minimizing bound, with every
-        other term at its max, violates C.  For an integral x_j the bound
-        itself is integral, so this agrees with the rounded deduction of
-        ``propagate_candidates``.
+        C tightens x_j iff x_j at its minimizing bound, every other term at
+        its max, violates C; for an integral x_j that bound is integral, so
+        this agrees with the rounded deduction of ``propagate_candidates``.
+        With one infinite top only that term can tighten; with none, x_j can
+        iff its span top_j - bottom_j exceeds finite - rhs.  Spans only shrink
+        along the walk: the widest is sought again after its variable changes.
         """
-        rhs, finite, infinite = self.rhs, self.finite, self.infinite
-        if infinite > 1 or self.infeasible():
+        if len(self.unbounded) == 1:
+            bottom = self.bottom[next(iter(self.unbounded))]
+            return bottom is None or self.finite + bottom < self.rhs
+        if self.unbounded or self.finite < self.rhs:
             return False
-        for j, top in self.top.items():
-            rest = residual(finite, infinite, top)
-            if rest is None:
-                continue
-            bottom = self.bottom[j]
-            if bottom is None or rest + bottom < rhs:
-                return True
-        return False
+        if self.widest is None:
+            self.widest = max(self.bottom, key=self._span)
+            self.span = self._span(self.widest)
+        return self.span > self.finite - self.rhs
+
+    def _span(self, j: int) -> Ext:
+        bottom = self.bottom[j]
+        return INF if bottom is None else self.top[j] - bottom
 
 
 def min_infeasible_state(C: LinearConstraint, trail: Trail) -> Optional[StateId]:
@@ -323,6 +332,9 @@ def analyze(
             **fields,
         )
 
+    def abandon(why: str, **fields) -> AnalysisResult:
+        return result("abandoned", abandoned_reason=why, **fields)
+
     def step(state: StateId, var: int, action: str) -> None:
         nonlocal iterations
         iterations += 1
@@ -332,14 +344,13 @@ def analyze(
         )
 
     while True:
-        if global_max_activity(C_learn, variables) < C_learn.rhs:
-            return result("global_infeasibility")
-        asserting_at = is_asserting(C_learn, trail, conflict_level)
         s = min_infeasible_state(C_learn, trail)
         if s is None:
-            return result(
-                "abandoned", abandoned_reason="conflict lost during strengthening"
-            )
+            return abandon("conflict lost during strengthening")
+        if s == INITIAL_STATE:
+            # The walk starts at the global bounds: C is globally infeasible.
+            return result("global_infeasibility")
+        asserting_at = is_asserting(C_learn, trail, conflict_level)
         if asserting_at is not None:
             return result(
                 "learned",
@@ -352,23 +363,16 @@ def analyze(
             # point exists.
             return result("global_infeasibility", conflicting_state=s)
         if prev_state is not None and s >= prev_state:
-            return result(
-                "abandoned", abandoned_reason="no progress in the backward walk"
-            )
+            return abandon("no progress in the backward walk")
         prev_state = s
         ch = trail.change_at(s)
         if ch.is_decision:
             # A decision state can only be minimal if the constraint
             # propagates at its predecessor, which the asserting check
             # would have caught.
-            return result(
-                "abandoned",
-                abandoned_reason="minimal infeasible state is a decision",
-            )
+            return abandon("minimal infeasible state is a decision")
         if not isinstance(ch.reason, RowReason):
-            return result(
-                "abandoned", abandoned_reason="reason is a bound disjunction"
-            )
+            return abandon("reason is a bound disjunction")
         C_reason = ch.reason.row
         used.add(ch.reason.index)
         r = ch.var
@@ -382,9 +386,7 @@ def analyze(
                     for j, _ in C_reason.terms
                 )
                 if has_continuous:
-                    reduced = reduce_mbp(
-                        C_reason, C_learn, r, trail, s, strategy, used
-                    )
+                    reduced = reduce_mbp(C_reason, C_learn, r, trail, s, strategy, used)
                     if isinstance(reduced, EarlierConflict):
                         C_learn = reduced.constraint
                         step(s, r, "earlier-conflict")
@@ -398,15 +400,11 @@ def analyze(
                 reduced = resolve_general_integer(C_reason, C_learn, r, trail, s)
                 action = "int-resolve" if reduced is C_reason else "separation-cut"
         except ReductionError as exc:
-            return result(
-                "abandoned", abandoned_reason=str(exc), conflicting_state=s
-            )
+            return abandon(str(exc), conflicting_state=s)
         try:
             C_learn = resolve(C_learn, reduced, r)
         except CutError as exc:
-            return result(
-                "abandoned", abandoned_reason=str(exc), conflicting_state=s
-            )
+            return abandon(str(exc), conflicting_state=s)
         if action == "tight":
             # A tightly propagating reason guarantees the plain resolvent is
             # itself infeasible at the resolved state; check it.
@@ -418,9 +416,11 @@ def analyze(
 
 
 def _strengthen(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:
-    if global_min_activity(C, variables) < C.rhs:
+    # coef_tighten refuses a globally redundant C (global min activity >= rhs).
+    try:
         return coef_tighten(C, variables)
-    return C
+    except CutError:
+        return C
 
 
 def _with_origin(C: LinearConstraint, strategy: ReductionStrategy) -> LinearConstraint:

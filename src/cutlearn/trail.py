@@ -301,11 +301,6 @@ def global_bounds(
     return lb, ub
 
 
-def global_max_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    lb, ub = global_bounds(C, variables)
-    return activity_bounds_max(C, lb, ub)
-
-
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
     lb, ub = global_bounds(C, variables)
     finite, infinite, _ = activity(C, ub, lb)

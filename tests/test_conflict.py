@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cutlearn.conflict import (
     EarlierConflict,
+    _strengthen,
     analyze,
     graph_fallback,
     is_asserting,
@@ -13,7 +14,7 @@ from cutlearn.conflict import (
     reduce_mbp,
     resolve_general_integer,
 )
-from cutlearn.cuts import ReductionError, ReductionStrategy, resolve
+from cutlearn.cuts import ReductionError, ReductionStrategy, coef_tighten, resolve
 from cutlearn.model import (
     BoundDisjunction,
     BoundKind,
@@ -38,6 +39,7 @@ from cutlearn.trail import (
     StateId,
     Trail,
     activity_bounds_max,
+    global_min_activity,
     max_activity,
 )
 
@@ -207,21 +209,49 @@ def _variable(draw, index):
     return Variable(index, f"v{index}", kind, lb, ub)
 
 
+def _span(C, t, j):
+    """|a_j| times x_j's local domain width; inf if a bound is infinite."""
+    lo, hi = t.local_lb[j], t.local_ub[j]
+    return INF if not (is_finite(lo) and is_finite(hi)) else abs(C.coef(j)) * (hi - lo)
+
+
 @st.composite
 def _trail_and_row(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
     vs = [draw(_variable(i)) for i in range(n)]
+    tied = draw(st.booleans())
+    if tied:
+        # One domain for every variable and one coefficient magnitude below:
+        # every term has the same span until the trail tightens one.
+        v0 = vs[0]
+        vs = [
+            Variable(i, f"v{i}", v0.kind, v0.global_lb, v0.global_ub)
+            for i in range(n)
+        ]
     support = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    coefs = {
-        j: F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
-        for j in support
-    }
+    magnitude = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+
+    def coef():
+        if tied:
+            return magnitude * draw(st.sampled_from([-1, 1]))
+        return F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
+
+    coefs = {j: coef() for j in support}
     C = mk(coefs, F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))))
     t = Trail(vs)
     reason = RowReason(0, C)
-    for _ in range(draw(st.integers(0, 20))):
+    for _ in range(draw(st.integers(0, 30))):
         # Mostly changes on C's variables: only those can move the answers.
-        j = draw(st.one_of(st.sampled_from(sorted(support)), st.integers(0, n - 1)))
+        # A change on the widest term (an infinite span first, ties to the
+        # smallest index) makes the walk look for the widest again.
+        widest = max(sorted(support), key=lambda k: _span(C, t, k))
+        j = draw(
+            st.one_of(
+                st.sampled_from(sorted(support)),
+                st.integers(0, n - 1),
+                st.just(widest),
+            )
+        )
         v = vs[j]
         kind = draw(st.sampled_from(list(BoundKind)))
         lo, hi = t.local_lb[j], t.local_ub[j]
@@ -434,6 +464,57 @@ def test_analysis_reports_global_infeasibility_from_root():
     confl = rows[res.source[1]]
     result = analyze(confl, t, ReductionStrategy.CMIR)
     assert result.outcome == "global_infeasibility"
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_analysis_of_a_globally_infeasible_row_names_no_state(strategy):
+    """A row infeasible at the global bounds conflicts before any change of
+    the trail, so no trail state is reported as the conflicting one."""
+    t = Trail(binary_vars(3))
+    t.push_decision(0, BoundKind.UPPER, 0)
+    t.push_decision(1, BoundKind.LOWER, 1)
+    result = analyze(mk({0: 1, 1: 1, 2: 1}, 4), t, strategy)
+    assert result.outcome == "global_infeasibility"
+    assert result.conflicting_state is None
+    assert result.learned is None and result.iterations == 0
+
+
+def _boxed(v):
+    """``v`` with each infinite bound replaced by a finite one."""
+    lb = v.global_lb if is_finite(v.global_lb) else min(F(-2), v.global_ub)
+    ub = v.global_ub if is_finite(v.global_ub) else lb + 3
+    return Variable(v.index, v.name, v.kind, lb, ub)
+
+
+@st.composite
+def _row_and_variables(draw):
+    n = draw(st.integers(1, 6))
+    vs = [draw(_variable(i)) for i in range(n)]
+    if draw(st.booleans()):
+        # A finite min activity: coef_tighten then has coefficients to clip.
+        vs = [_boxed(v) for v in vs]
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    coefs = {
+        j: F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
+        for j in support
+    }
+    C = mk(coefs, F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))))
+    minact = global_min_activity(C, vs)
+    if is_finite(minact) and draw(st.booleans()):
+        # An rhs just above the min activity leaves large coefficients to clip.
+        C = mk(coefs, minact + F(draw(st.integers(1, 6)), 2))
+    return C, vs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_and_variables())
+def test_strengthen_tightens_exactly_the_rows_that_are_not_redundant(case):
+    C, vs = case
+    out = _strengthen(C, vs)
+    if global_min_activity(C, vs) < C.rhs:
+        assert out == coef_tighten(C, vs)
+    else:
+        assert out is C
 
 
 def test_analysis_learns_asserting_clause_binary():
