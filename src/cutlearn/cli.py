@@ -52,22 +52,26 @@ def _write_stats(path: str, result: SolveResult) -> None:
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
+    defaults = SolverConfig()
     sub.add_argument("file")
     sub.add_argument(
         "--reduction",
         choices=[s.value for s in ReductionStrategy],
-        default=ReductionStrategy.CMIR.value,
+        default=defaults.strategy.value,
     )
-    sub.add_argument("--no-learning", action="store_true")
-    sub.add_argument("--node-limit", type=int, default=10_000)
-    sub.add_argument("--conflict-limit", type=int, default=1_000)
+    sub.add_argument("--node-limit", type=int, default=defaults.node_limit)
+    sub.add_argument(
+        "--conflict-limit",
+        type=int,
+        default=defaults.conflict_limit,
+        help="conflicts analyzed at most; 0 turns learning off",
+    )
     sub.add_argument("--stats-json", default=None)
 
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
         strategy=ReductionStrategy(args.reduction),
-        enable_learning=not args.no_learning,
         node_limit=args.node_limit,
         conflict_limit=args.conflict_limit,
     )

@@ -2,9 +2,10 @@
 
 Conflicts found by propagation are analyzed into globally valid learned
 objects; the solver backjumps to the state where the learned object first
-propagates.  When learning is off, analysis fails, or a conflict involves an
-objective-cutoff row, the solver backtracks chronologically by flipping the
-deepest unflipped decision.
+propagates.  It backtracks chronologically instead, flipping the deepest
+unflipped decision, when a conflict is on the objective-cutoff row, when the
+analysis yields nothing globally valid, and after ``conflict_limit``
+analyses (at once when it is 0, which turns learning off).
 
 Leaf feasibility and the continuous objective part are decided by a local
 Fourier-Motzkin routine; the oracle module has its own, deliberately
@@ -49,8 +50,8 @@ class SolverError(Exception):
 @dataclass
 class SolverConfig:
     strategy: ReductionStrategy = ReductionStrategy.CMIR
-    enable_learning: bool = True
     node_limit: int = 10_000
+    # Conflicts analyzed at most per solve; 0 turns learning off.
     conflict_limit: int = 1_000
     # "solve": learn and use; "generate": learn but ignore (phase 1).
     mode: str = "solve"
@@ -358,49 +359,61 @@ class _Solver:
         else:
             self.disjunctions.append(obj)
 
-    def _record(self, obj: LearnedObject) -> None:
-        """Report obj as learned by this run and count it."""
-        self.learned.append(obj)
-        if isinstance(obj, LinearConstraint):
-            self.stats.learned_linear += 1
-        else:
-            self.stats.learned_disjunctions += 1
-
     # -- conflict handling ---------------------------------------------------
 
-    def _analysis_allowed(self) -> bool:
-        return (
-            self.config.enable_learning
-            and self.stats.conflicts_analyzed < self.config.conflict_limit
-        )
+    def _analyze(self, source: Tuple[str, int]) -> Optional[AnalysisResult]:
+        """The globally valid analysis of the conflict at ``source``, or None.
 
-    def _run_analysis(self, source: Tuple[str, int]) -> Optional[AnalysisResult]:
+        None once ``conflict_limit`` analyses have run, for a conflict on the
+        objective-cutoff row, and for a result that resolved through that
+        row: the cutoff row holds only relative to the incumbent.  A row
+        conflict goes to ``analyze``, and to ``graph_fallback`` when that is
+        abandoned or used the cutoff row; a disjunction conflict goes to
+        ``graph_fallback`` directly.
+        """
+        if self.stats.conflicts_analyzed >= self.config.conflict_limit:
+            return None
         kind, idx = source
         if kind == "row" and idx == self.cutoff:
-            return None  # objective-bound conflicts are not globally valid
+            return None
         conflict = self.rows[idx] if kind == "row" else self.disjunctions[idx]
         self.stats.conflicts_analyzed += 1
         out: Optional[AnalysisResult] = None
         if kind == "row":
             out = analyze(conflict, self.trail, self.config.strategy)
-            if out.outcome == "abandoned" or self._used_unsafe(out):
+            if out.outcome == "abandoned" or self.cutoff in out.used_row_indices:
                 out = None
         if out is None:
             self.stats.fallbacks += 1
             out = graph_fallback(self.trail, conflict)
-            if self._used_unsafe(out):
+            if self.cutoff in out.used_row_indices:
                 return None
         if self.config.on_analysis is not None:
             self.config.on_analysis(out, self.trail)
         return out
 
-    def _used_unsafe(self, out: AnalysisResult) -> bool:
-        """True if the derivation resolved through an objective-cutoff row.
+    def _handle_conflict(self, source: Tuple[str, int]) -> bool:
+        """Act on a conflict below the root; False when the search is over.
 
-        Such a reason is only valid relative to the incumbent, so the result
-        cannot be kept as a globally valid learned object.
+        In "solve" mode a learned object is installed, recorded and
+        backjumped to, and global infeasibility ends the search.  Every
+        other case backtracks chronologically.
         """
-        return self.cutoff in out.used_row_indices
+        out = self._analyze(source)
+        if out is None:
+            return self._chronological()
+        if self.config.mode == "generate":
+            # Phase 1 only records what it learns and does not stop at
+            # global infeasibility: its tree stays the same across strategies.
+            if out.outcome == "learned":
+                self.learned.append(out.learned)
+            return self._chronological()
+        if out.outcome == "global_infeasibility":
+            return False
+        self._install(out.learned)
+        self.learned.append(out.learned)
+        self._backjump(out.backjump_target)
+        return True
 
     # -- backtracking ----------------------------------------------------------
 
@@ -487,18 +500,8 @@ class _Solver:
             if fix.capped:
                 self.stats.propagation_capped += 1
             if fix.conflict:
-                if self.trail.current_level == 0:
+                if self.trail.current_level == 0 or not self._handle_conflict(fix.source):
                     return self._finish(proved=True)
-                handled = False
-                if self._analysis_allowed():
-                    out = self._run_analysis(fix.source)
-                    if out is not None:
-                        handled = self._apply_analysis(out)
-                        if handled is None:
-                            return self._finish(proved=True)
-                if not handled:
-                    if not self._chronological():
-                        return self._finish(proved=True)
                 continue
             branch = select_branching(self.trail, self.problem)
             if branch is None:
@@ -516,22 +519,6 @@ class _Solver:
                 _Decision(self.trail.current_level, var, flip_kind, flip_value)
             )
             self.stats.nodes += 1
-
-    def _apply_analysis(self, out: AnalysisResult) -> Optional[bool]:
-        """Returns True if the conflict was consumed, False to fall back to
-        chronological backtracking, None when search can stop."""
-        if out.outcome == "global_infeasibility":
-            if self.config.mode == "generate":
-                return False  # keep the tree identical across strategies
-            return None
-        obj = out.learned
-        if self.config.mode == "generate":
-            self._record(obj)
-            return False
-        self._install(obj)
-        self._record(obj)
-        self._backjump(out.backjump_target)
-        return True
 
     def _account_learned_propagation(self, start: int) -> None:
         for ch in self.trail.changes[start:]:
@@ -561,6 +548,9 @@ class _Solver:
         return SolveResult("limit", None, None, self.stats, learned)
 
     def _finalize_stats(self) -> None:
+        linear = sum(isinstance(obj, LinearConstraint) for obj in self.learned)
+        self.stats.learned_linear = linear
+        self.stats.learned_disjunctions = len(self.learned) - linear
         lengths = []
         for obj in self.learned + list(self.config.initial_learned):
             if isinstance(obj, LinearConstraint):
@@ -597,7 +587,7 @@ def run_two_phase(
     exploit_cfg = replace(
         config,
         mode="solve",
-        enable_learning=False,
+        conflict_limit=0,
         initial_learned=tuple(result1.learned),
     )
     result2 = solve(problem, exploit_cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
 from .rationals import (
@@ -233,9 +233,8 @@ class Trail:
 # -- activities ---------------------------------------------------------------
 
 
-# A bound per variable index: a full bound vector, or a dict over one row's
-# variables.
-Bounds = Union[Sequence[Ext], Mapping[int, Ext]]
+# A bound per variable index.
+Bounds = Sequence[Ext]
 
 
 class Activity(NamedTuple):
@@ -292,19 +291,16 @@ def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = N
     return activity_bounds_max(C, lb, ub)
 
 
-def global_bounds(
-    C: LinearConstraint, variables: Sequence[Variable]
-) -> Tuple[Dict[int, Ext], Dict[int, Ext]]:
-    """Global lower and upper bounds of C's variables, keyed by index."""
-    lb = {j: variables[j].global_lb for j, _ in C.terms}
-    ub = {j: variables[j].global_ub for j, _ in C.terms}
-    return lb, ub
-
-
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    lb, ub = global_bounds(C, variables)
-    finite, infinite, _ = activity(C, ub, lb)
-    return finite if infinite == 0 else NEG_INF
+    """C's min activity at the global bounds, in one pass over its terms."""
+    total = ZERO
+    for j, a in C.terms:
+        v = variables[j]
+        bound = v.global_lb if a > 0 else v.global_ub
+        if not is_finite(bound):
+            return NEG_INF
+        total += a * bound
+    return total
 
 
 def infeasible_at(

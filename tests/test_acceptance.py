@@ -466,7 +466,7 @@ def test_criterion_10_learning_shortens_pigeonhole_proof():
         result = solve(php, SolverConfig(strategy=strategy))
         assert result.status == "infeasible", strategy
         nodes[strategy] = result.stats.nodes
-    plain = solve(php, SolverConfig(enable_learning=False))
+    plain = solve(php, SolverConfig(conflict_limit=0))
     assert plain.status == "infeasible"
     assert nodes[ReductionStrategy.CMIR] < plain.stats.nodes
     # PHP(p, h) is feasible exactly when every pigeon finds its own hole

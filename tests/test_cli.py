@@ -1,8 +1,16 @@
 """Command-line entry points via main(argv)."""
 
+import argparse
 import json
 
-from cutlearn.cli import EXIT_INPUT_ERROR, EXIT_LIMIT, EXIT_OK, main
+from cutlearn.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_LIMIT,
+    EXIT_OK,
+    _add_solver_flags,
+    _config_from_args,
+    main,
+)
 from cutlearn.cuts import ReductionStrategy
 from cutlearn.fileio import parse_native, print_native
 from cutlearn.corpus import pigeonhole, random_mbp_problem
@@ -91,6 +99,12 @@ def test_conflict_limit_flag(tmp_path, capsys):
     assert main(["solve", path, "--conflict-limit", "0", "--stats-json", stats]) == EXIT_OK
     assert "status: infeasible" in capsys.readouterr().out
     assert json.loads(open(stats).read())["conflicts_analyzed"] == 0
+
+
+def test_solver_flag_defaults_are_the_config_defaults():
+    parser = argparse.ArgumentParser()
+    _add_solver_flags(parser)
+    assert _config_from_args(parser.parse_args(["model.txt"])) == SolverConfig()
 
 
 def test_check_agrees(tmp_path, capsys):

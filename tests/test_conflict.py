@@ -21,7 +21,9 @@ from cutlearn.model import (
     LinearConstraint,
     Variable,
     VarKind,
+    build_problem,
 )
+from cutlearn.oracle import validate_learned
 from cutlearn.propagation import propagate_fixpoint
 from cutlearn.rationals import (
     INF,
@@ -343,6 +345,47 @@ def test_mbp_analysis_learns_continuous_row(strategy):
     assert result.conflicting_state == StateId(1, 4)
     assert result.iterations == 1
     assert result.trace == ("iter=1 state=(1,5) var=0 action=mbp len=2",)
+
+
+def _earlier_conflict():
+    """x0 + c - 3y >= 7/2 (row 0) propagates x0 >= 1 from y >= 1 and c <= 6,
+    which -c - 4y >= -6 (row 1) deduced at the root; x0 + y <= 1 conflicts.
+    Resolving c out of row 0 through row 1 gives x0 - 7y >= -5/2, already
+    infeasible once y >= 1, before x0 >= 1 was deduced."""
+    vs = [
+        Variable(0, "x0", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "y", VarKind.BINARY, F(0), F(1)),
+        Variable(2, "c", VarKind.CONTINUOUS, F(0), F(10)),
+    ]
+    rows = [mk({0: 1, 2: 1, 1: -3}, F(7, 2)), mk({2: -1, 1: -4}, -6)]
+    t = Trail(vs)
+    t.push_deduction(2, BoundKind.UPPER, 6, RowReason(1, rows[1]), F(6))
+    t.push_decision(1, BoundKind.LOWER, 1)
+    t.push_deduction(0, BoundKind.LOWER, 1, RowReason(0, rows[0]), F(1, 2))
+    return vs, rows, t, mk({0: -1, 1: -1}, -1)
+
+
+def test_reduce_mbp_reports_an_earlier_conflict():
+    _, rows, t, C = _earlier_conflict()
+    used = set()
+    out = reduce_mbp(rows[0], C, 0, t, StateId(1, 1), ReductionStrategy.CMIR, used)
+    assert out == EarlierConflict(mk({0: 1, 1: -7}, F(-5, 2)))
+    assert used == {1}
+
+
+@pytest.mark.parametrize("strategy", list(ReductionStrategy))
+def test_analysis_continues_from_an_earlier_conflict(strategy):
+    vs, rows, t, C = _earlier_conflict()
+    result = analyze(C, t, strategy)
+    assert result.outcome == "learned"
+    assert result.learned == mk({0: 1, 1: -7}, F(-5, 2))
+    assert result.backjump_target == INITIAL_STATE
+    assert result.conflicting_state == StateId(1, 0)
+    assert result.used_row_indices == (0, 1)
+    assert result.iterations == 1
+    assert result.trace == ("iter=1 state=(1,1) var=0 action=earlier-conflict len=2",)
+    problem = build_problem(vs, rows + [C])
+    assert validate_learned(problem, result.learned)
 
 
 # -- general-integer resolution ----------------------------------------------

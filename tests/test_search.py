@@ -88,7 +88,7 @@ def test_general_integer_solves_match_oracle():
 def test_learning_off_still_agrees():
     for seed in range(8):
         problem = random_binary_problem(seed)
-        result = solve(problem, SolverConfig(enable_learning=False))
+        result = solve(problem, SolverConfig(conflict_limit=0))
         assert_agrees_with_oracle(problem, result)
         assert not result.learned
 
@@ -272,8 +272,9 @@ def test_two_phase_agrees_and_shares_objects():
         assert (r1.status, r1.objective) == (r2.status, r2.objective)
         assert_agrees_with_oracle(problem, r2)
         assert list(r1.learned) == objects
-        # phase 2 does not learn anything new of its own
+        # phase 2 analyzes no conflict and learns nothing of its own
         assert not r2.learned
+        assert r2.stats.conflicts_analyzed == 0 and r2.stats.fallbacks == 0
         for obj in objects:
             assert validate_learned(problem, obj)
 
@@ -381,8 +382,6 @@ def test_learned_file_roundtrip(tmp_path):
     back = read_learned_file(path)
     assert list(result.learned) == back
     # and the objects can seed an exploitation run
-    cfg = SolverConfig(
-        enable_learning=False, initial_learned=tuple(back)
-    )
+    cfg = SolverConfig(conflict_limit=0, initial_learned=tuple(back))
     again = solve(problem, cfg)
     assert_agrees_with_oracle(problem, again)
