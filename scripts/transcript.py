@@ -8,10 +8,14 @@ objective, the witness, every ``Stats`` field and the learned objects.  After
 a call's result lines come its analyses, one line for each result the solver
 handed to ``on_analysis``, in order: the outcome, the learned object and its
 origin, the backjump target, the iteration count, the rows resolved through,
-the conflicting state and the trace.  The instances are the random sweep
-generators (through both ``solve`` and ``run_two_phase``), the desk corpus
-(``run_two_phase``) and PHP(p, p - 1) (``solve``).  ``--every N`` keeps every
-Nth sweep seed.
+the conflicting state and the trace.  Then comes one such line for every
+result that ``analyze`` or ``graph_fallback`` returned to the search during
+the call, tagged ``analyze`` or ``fallback`` and numbered in call order; these
+include abandoned analyses and results the search discarded for using the
+objective-cutoff row, which never reach ``on_analysis``.  The instances are
+the random sweep generators (through both ``solve`` and ``run_two_phase``),
+the desk corpus (``run_two_phase``) and PHP(p, p - 1) (``solve``).
+``--every N`` keeps every Nth sweep seed.
 
 Run it once with each checkout's ``src`` on ``PYTHONPATH`` and diff the
 outputs; a change that keeps the search leaves them identical:
@@ -22,7 +26,9 @@ outputs; a change that keeps the search leaves them identical:
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 
+from cutlearn import search
 from cutlearn.corpus import (
     desk_corpus,
     pigeonhole,
@@ -79,6 +85,32 @@ def format_analysis(label, k, out):
     )
 
 
+@contextmanager
+def returned_analyses(returned):
+    """Wrap the ``analyze`` and ``graph_fallback`` that search calls, so each
+    result they return is appended to ``returned`` as (tag, result)."""
+    originals = [
+        ("analyze", "analyze", search.analyze),
+        ("graph_fallback", "fallback", search.graph_fallback),
+    ]
+
+    def wrap(tag, original):
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            returned.append((tag, out))
+            return out
+
+        return wrapped
+
+    for name, tag, original in originals:
+        setattr(search, name, wrap(tag, original))
+    try:
+        yield
+    finally:
+        for name, _, original in originals:
+            setattr(search, name, original)
+
+
 def instances(args):
     """(name, problem, calls) in output order, calls drawn from
     ("solve", "twophase")."""
@@ -113,6 +145,7 @@ def main(argv=None):
     for name, problem, calls in instances(args):
         for strategy in ReductionStrategy:
             analyses = []
+            returned = []
             config = SolverConfig(
                 strategy=strategy,
                 on_analysis=lambda out, trail: analyses.append(out),
@@ -120,14 +153,19 @@ def main(argv=None):
             prefix = f"{name} {strategy.value}"
             for call in calls:
                 analyses.clear()
-                if call == "solve":
-                    print(format_result(f"{prefix} solve", solve(problem, config)))
-                else:
-                    r1, r2, _ = run_two_phase(problem, config)
-                    print(format_result(f"{prefix} phase1", r1))
-                    print(format_result(f"{prefix} phase2", r2))
+                returned.clear()
+                with returned_analyses(returned):
+                    if call == "solve":
+                        results = [("solve", solve(problem, config))]
+                    else:
+                        r1, r2, _ = run_two_phase(problem, config)
+                        results = [("phase1", r1), ("phase2", r2)]
+                for label, result in results:
+                    print(format_result(f"{prefix} {label}", result))
                 for k, out in enumerate(analyses, 1):
                     print(format_analysis(f"{prefix} {call}", k, out))
+                for k, (tag, out) in enumerate(returned, 1):
+                    print(format_analysis(f"{prefix} {call} {tag}", k, out))
     return 0
 
 

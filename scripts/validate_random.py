@@ -3,8 +3,9 @@
 
 Generates pure-binary, mixed-binary, and general-integer instances, solves
 each one under every reduction strategy, and checks that the reported optimum
-matches the oracle and that every learned constraint or bound disjunction is
-valid for the instance.  The oracle's optimum is computed once per instance
+matches the oracle, that its witness keeps every global bound, integrality
+requirement and row, and that every learned constraint or bound disjunction
+is valid for the instance.  The oracle's optimum is computed once per instance
 and shared by the strategies; the last line splits the time between the
 solver and the oracle.  Exits nonzero on the first discrepancy.
 """
@@ -19,7 +20,7 @@ from cutlearn.corpus import (
     random_mbp_problem,
 )
 from cutlearn.cuts import ReductionStrategy
-from cutlearn.model import evaluate
+from cutlearn.model import violation
 from cutlearn.oracle import oracle_optimum, validate_learned
 from cutlearn.search import SolverConfig, solve
 
@@ -40,10 +41,9 @@ def check_one(problem, strategy, truth, clock):
             return f"solver says {result.status}, oracle says optimal"
         if problem.objective is not None and result.objective != truth.value:
             return f"optimum {result.objective} != oracle {truth.value}"
-        witness = list(result.witness)
-        for C in problem.constraints:
-            if not evaluate(C, witness).satisfied:
-                return f"witness violates {C}"
+        bad_witness = violation(problem, result.witness)
+        if bad_witness is not None:
+            return f"witness: {bad_witness}"
     start = time.perf_counter()
     invalid = next(
         (obj for obj in result.learned if not validate_learned(problem, obj)),

@@ -8,7 +8,7 @@ from typing import Callable, List, Optional
 
 from .cuts import ReductionStrategy
 from .fileio import ParseError, emit_result_stats, parse_native, parse_opb
-from .model import Problem
+from .model import Problem, violation
 from .oracle import OracleError, oracle_optimum, validate_learned
 from .rationals import format_rational
 from .search import (
@@ -137,7 +137,10 @@ def _cmd_check(problem: Problem) -> int:
         return EXIT_LIMIT
     solver_status = result.status
     oracle_status = "optimal" if truth.status == "optimal" else "infeasible"
-    agree = solver_status == oracle_status and (
+    bad_witness = (
+        violation(problem, result.witness) if solver_status == "optimal" else None
+    )
+    agree = bad_witness is None and solver_status == oracle_status and (
         solver_status != "optimal" or result.objective == truth.value
     )
     print(
@@ -146,6 +149,7 @@ def _cmd_check(problem: Problem) -> int:
         + f" oracle={oracle_status}"
         + (f" value={format_rational(truth.value)}" if truth.value is not None else "")
         + (" AGREE" if agree else " DISAGREE")
+        + (f" witness: {bad_witness}" if bad_witness is not None else "")
     )
     return EXIT_OK if agree else EXIT_INPUT_ERROR
 

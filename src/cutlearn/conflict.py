@@ -388,7 +388,7 @@ def analyze(
                 if has_continuous:
                     reduced = reduce_mbp(C_reason, C_learn, r, trail, s, strategy, used)
                     if isinstance(reduced, EarlierConflict):
-                        C_learn = reduced.constraint
+                        C_learn = _strengthen(reduced.constraint, variables)
                         step(s, r, "earlier-conflict")
                         continue
                     action = "mbp"

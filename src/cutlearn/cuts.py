@@ -158,7 +158,8 @@ def _literal_reason(
     C_reason: LinearConstraint, r: int, trail: Trail, state: StateId
 ) -> Tuple[LinearConstraint, SubstitutionRecord, List[int]]:
     """Return the reason in literal space, its record and P: the literals
-    other than r whose local upper bound at ``state`` is 1 (not fixed at 0)."""
+    other than r not fixed at 0 at ``state`` (lb 0 for a complemented
+    binary, ub 1 for any other)."""
     variables = trail.variables
     for j, _ in C_reason.terms:
         if variables[j].kind is not VarKind.BINARY:
@@ -168,7 +169,7 @@ def _literal_reason(
     P = [
         j
         for j, _ in norm.terms
-        if j != r and record.literal_ub(j, lb, ub, variables) == 1
+        if j != r and (lb[j] == 0 if j in record.complemented else ub[j] == 1)
     ]
     return norm, record, P
 

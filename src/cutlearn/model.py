@@ -19,8 +19,8 @@ from .rationals import (
     Rat,
     ZERO,
     ONE,
-    ext_add,
-    ext_neg,
+    format_ext,
+    format_rational,
     is_finite,
     is_integral,
 )
@@ -275,19 +275,6 @@ class SubstitutionRecord:
     shifted: Tuple[int, ...]
     divisor: Rat
 
-    def literal_ub(
-        self,
-        j: int,
-        lb: Sequence[Ext],
-        ub: Sequence[Ext],
-        variables: Sequence[Variable],
-    ) -> Ext:
-        """Upper bound of j's literal in the box [lb, ub]."""
-        v = variables[j]
-        if j in self.complemented:
-            return ext_add(v.global_ub, ext_neg(lb[j]))
-        return ext_add(ub[j], ext_neg(v.global_lb))
-
 
 def _substitute(
     C: LinearConstraint,
@@ -373,7 +360,11 @@ def literal_variables(
     out = list(variables)
     for j, _ in C.terms:
         v = variables[j]
-        width = ext_add(v.global_ub, ext_neg(v.global_lb))
+        width = (
+            v.global_ub - v.global_lb
+            if is_finite(v.global_ub) and is_finite(v.global_lb)
+            else INF
+        )
         out[j] = replace(v, global_lb=ZERO, global_ub=width)
     return out
 
@@ -392,3 +383,22 @@ def evaluate(C: LinearConstraint, point: Sequence[Rat]) -> Evaluation:
     lhs = sum((c * Fraction(point[j]) for j, c in C.terms), ZERO)
     slack = lhs - C.rhs
     return Evaluation(slack >= 0, slack)
+
+
+def violation(problem: Problem, point: Sequence[Rat]) -> Optional[str]:
+    """The first global bound, integrality requirement or row that ``point``
+    violates, described; None if the point is feasible."""
+    if len(point) != len(problem.variables):
+        return f"point has {len(point)} values for {len(problem.variables)} variables"
+    for v, x in zip(problem.variables, point):
+        if not v.global_lb <= x <= v.global_ub:
+            return (
+                f"{v.name} = {format_rational(x)} outside "
+                f"[{format_ext(v.global_lb)}, {format_ext(v.global_ub)}]"
+            )
+        if v.is_integral and not is_integral(x):
+            return f"{v.name} = {format_rational(x)} is not integral"
+    for i, C in enumerate(problem.constraints):
+        if not evaluate(C, point).satisfied:
+            return f"row {i} violated: {C}"
+    return None

@@ -1,9 +1,12 @@
 """Exact rational scalars extended with +/- infinity.
 
-Finite values are ``fractions.Fraction``; the two infinities are the float
-sentinels ``INF`` and ``NEG_INF``.  Plain float arithmetic would silently
-produce ``nan`` for ``inf - inf`` and ``0 * inf``, so all mixed arithmetic
-goes through the helpers below, which raise instead.
+Finite values are ``int`` or ``fractions.Fraction``; a value is infinite
+exactly when it is one of the float sentinels ``INF`` and ``NEG_INF``.  No
+code adds, subtracts or multiplies an infinity: it only compares one or
+tests it with ``is_finite``.  That rule holds because ``Variable`` refuses
+finite float bounds and empty domains, ``Trail`` stores every pushed value
+as a ``Fraction``, and every remaining subtraction or product on a bound is
+guarded by ``is_finite``.  So ``inf - inf`` and ``0 * inf`` never arise.
 """
 
 from __future__ import annotations
@@ -22,41 +25,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class InfinityArithmeticError(ArithmeticError):
-    """Raised for indeterminate forms such as inf - inf or 0 * inf."""
-
-
 def is_inf(x: Ext) -> bool:
     return x == INF or x == NEG_INF
 
 
 def is_finite(x: Ext) -> bool:
     return not is_inf(x)
-
-
-def ext_add(a: Ext, b: Ext) -> Ext:
-    if is_inf(a) or is_inf(b):
-        if is_inf(a) and is_inf(b) and a != b:
-            raise InfinityArithmeticError("inf - inf")
-        return a if is_inf(a) else b
-    return a + b
-
-
-def ext_neg(a: Ext) -> Ext:
-    if a == INF:
-        return NEG_INF
-    if a == NEG_INF:
-        return INF
-    return -a
-
-
-def ext_mul(a: Rat, b: Ext) -> Ext:
-    """Multiply a finite rational by an extended value."""
-    if is_inf(b):
-        if a == 0:
-            raise InfinityArithmeticError("0 * inf")
-        return b if a > 0 else ext_neg(b)
-    return a * b
 
 
 def frac_floor(a: Rat) -> Rat:

@@ -18,7 +18,6 @@ from .rationals import (
     Ext,
     Rat,
     ZERO,
-    ext_mul,
     format_ext,
     is_finite,
     is_integral,
@@ -261,8 +260,9 @@ def activity(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Activity:
     infinite = 0
     contribs: List[Optional[Rat]] = []
     for j, a in C.terms:
-        contrib = ext_mul(a, ub[j] if a > 0 else lb[j])
-        if is_finite(contrib):
+        bound = ub[j] if a > 0 else lb[j]
+        if is_finite(bound):
+            contrib = a * bound
             finite += contrib
             contribs.append(contrib)
         else:

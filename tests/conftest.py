@@ -1,4 +1,5 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the checked extended arithmetic
+that the reference implementations use."""
 
 from fractions import Fraction
 
@@ -11,8 +12,46 @@ from cutlearn.model import (
     VarKind,
     build_problem,
 )
+from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_inf
 
 F = Fraction
+
+
+# -- checked extended arithmetic for reference implementations ----------------
+#
+# The solver never adds or multiplies an infinity.  The reference
+# implementations in the tests sum over infinite bounds freely, so they go
+# through these helpers, which raise on the indeterminate forms instead of
+# producing nan.
+
+
+class InfinityArithmeticError(ArithmeticError):
+    """Raised for indeterminate forms such as inf - inf or 0 * inf."""
+
+
+def ext_add(a: Ext, b: Ext) -> Ext:
+    if is_inf(a) or is_inf(b):
+        if is_inf(a) and is_inf(b) and a != b:
+            raise InfinityArithmeticError("inf - inf")
+        return a if is_inf(a) else b
+    return a + b
+
+
+def ext_neg(a: Ext) -> Ext:
+    if a == INF:
+        return NEG_INF
+    if a == NEG_INF:
+        return INF
+    return -a
+
+
+def ext_mul(a: Rat, b: Ext) -> Ext:
+    """Multiply a finite rational by an extended value."""
+    if is_inf(b):
+        if a == 0:
+            raise InfinityArithmeticError("0 * inf")
+        return b if a > 0 else ext_neg(b)
+    return a * b
 
 
 def binary_vars(n, start=0):

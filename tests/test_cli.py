@@ -1,8 +1,13 @@
 """Command-line entry points via main(argv)."""
 
 import argparse
+import dataclasses
 import json
+from fractions import Fraction as F
 
+import pytest
+
+from cutlearn import cli
 from cutlearn.cli import (
     EXIT_INPUT_ERROR,
     EXIT_LIMIT,
@@ -111,6 +116,35 @@ def test_check_agrees(tmp_path, capsys):
     path = _write(tmp_path, "p.txt", print_native(random_mbp_problem(52)))
     assert main(["check", path]) == EXIT_OK
     assert "AGREE" in capsys.readouterr().out
+
+
+# random_mbp_problem(52): optimum 4 at x1, x2, x3, y1 = 1, 0, 0, 3/2; each
+# case moves one value so the point breaks one kind of requirement.
+@pytest.mark.parametrize(
+    "var, value, reason",
+    [
+        (3, F(4), "witness: y1 = 4 outside [0, 3]"),
+        (0, F(1, 2), "witness: x1 = 1/2 is not integral"),
+        (3, F(0), "witness: row 2 violated"),
+    ],
+    ids=["bound", "integrality", "row"],
+)
+def test_check_rejects_an_infeasible_witness(
+    tmp_path, capsys, monkeypatch, var, value, reason
+):
+    """Status and objective agree with the oracle, but the witness does not
+    satisfy the problem: ``check`` must say so."""
+    problem = random_mbp_problem(52)
+    result = solve(problem)
+    witness = list(result.witness)
+    witness[var] = value
+    bad = dataclasses.replace(result, witness=tuple(witness))
+    monkeypatch.setattr(cli, "solve", lambda _problem: bad)
+    path = _write(tmp_path, "p.txt", print_native(problem))
+    assert main(["check", path]) == EXIT_INPUT_ERROR
+    out = capsys.readouterr().out
+    assert "value=4 oracle=optimal value=4 DISAGREE" in out
+    assert reason in out
 
 
 def test_check_infeasible(tmp_path, capsys):

@@ -29,8 +29,6 @@ from cutlearn.rationals import (
     INF,
     NEG_INF,
     ZERO,
-    ext_add,
-    ext_mul,
     frac_ceil,
     frac_floor,
     is_finite,
@@ -45,7 +43,7 @@ from cutlearn.trail import (
     max_activity,
 )
 
-from conftest import F, binary_vars, mbp5_system, mk
+from conftest import F, binary_vars, ext_add, ext_mul, mbp5_system, mk
 
 
 # -- helper state queries -----------------------------------------------------
@@ -351,7 +349,8 @@ def _earlier_conflict():
     """x0 + c - 3y >= 7/2 (row 0) propagates x0 >= 1 from y >= 1 and c <= 6,
     which -c - 4y >= -6 (row 1) deduced at the root; x0 + y <= 1 conflicts.
     Resolving c out of row 0 through row 1 gives x0 - 7y >= -5/2, already
-    infeasible once y >= 1, before x0 >= 1 was deduced."""
+    infeasible once y >= 1, before x0 >= 1 was deduced.  Coefficient
+    tightening strengthens that row to x0 - 9/2 y >= 0."""
     vs = [
         Variable(0, "x0", VarKind.BINARY, F(0), F(1)),
         Variable(1, "y", VarKind.BINARY, F(0), F(1)),
@@ -378,7 +377,7 @@ def test_analysis_continues_from_an_earlier_conflict(strategy):
     vs, rows, t, C = _earlier_conflict()
     result = analyze(C, t, strategy)
     assert result.outcome == "learned"
-    assert result.learned == mk({0: 1, 1: -7}, F(-5, 2))
+    assert result.learned == mk({0: 1, 1: F(-9, 2)}, 0)
     assert result.backjump_target == INITIAL_STATE
     assert result.conflicting_state == StateId(1, 0)
     assert result.used_row_indices == (0, 1)

@@ -83,12 +83,25 @@ def test_empty_domain_rejected(kind):
     Variable(0, "x", kind, NEG_INF, INF)  # a free variable is fine
 
 
-@pytest.mark.parametrize("lb, ub", [(0.1, F(1)), (F(0), 0.7), (0.1, 0.7)])
+@pytest.mark.parametrize(
+    "lb, ub",
+    [
+        (0.1, F(1)),
+        (F(0), 0.7),
+        (0.1, 0.7),
+        (float("nan"), F(1)),
+        (F(0), float("nan")),
+        (0.0, 1.0),
+    ],
+)
 def test_finite_float_bound_rejected(lb, ub):
     """A finite float bound is binary-float residue in an exact solver:
-    0.1 would enter propagation as 3602879701896397/36028797018963968."""
-    with pytest.raises(ValueError, match="float bound"):
-        Variable(0, "x", VarKind.CONTINUOUS, lb, ub)
+    0.1 would enter propagation as 3602879701896397/36028797018963968.
+    Only INF and NEG_INF may be floats, so nan and a binary's (0.0, 1.0)
+    are refused too, under every kind."""
+    for kind in VarKind:
+        with pytest.raises(ValueError, match="float bound"):
+            Variable(0, "x", kind, lb, ub)
 
 
 def test_exact_and_infinite_bounds_accepted():
@@ -188,6 +201,31 @@ def test_normalize_denormalize_roundtrip(C, r, spec):
             assert lits[j].global_lb == 0 <= lit <= lits[j].global_ub
             norm_slack += c * lit
         assert norm_slack == slack / record.divisor
+
+
+def test_literal_variables_width():
+    """Each of C's variables moves to [0, ub - lb]: the exact width when
+    both global bounds are finite, INF when either is infinite.  Variables
+    outside C keep their domains."""
+    vs = [
+        Variable(0, "a", VarKind.INTEGER, F(-2), INF),
+        Variable(1, "b", VarKind.INTEGER, NEG_INF, F(3)),
+        Variable(2, "c", VarKind.INTEGER, NEG_INF, INF),
+        Variable(3, "d", VarKind.INTEGER, F(-2), F(5)),
+        Variable(4, "y", VarKind.CONTINUOUS, F(1, 3), F(5, 2)),
+        Variable(5, "e", VarKind.INTEGER, F(1), F(4)),
+    ]
+    lits = literal_variables(mk({0: 1, 1: -2, 2: 3, 3: -1, 4: 1}, 0), vs)
+    assert [(v.global_lb, v.global_ub) for v in lits[:5]] == [
+        (0, INF),
+        (0, INF),
+        (0, INF),
+        (0, 7),
+        (0, F(13, 6)),
+    ]
+    assert type(lits[3].global_ub) is Fraction
+    assert [v.kind for v in lits] == [v.kind for v in vs]
+    assert lits[5] is vs[5]
 
 
 def test_normalize_divisor_tracks_sign():

@@ -27,8 +27,6 @@ from cutlearn.rationals import (
     INF,
     NEG_INF,
     ZERO,
-    ext_add,
-    ext_mul,
     frac_ceil,
     frac_floor,
     is_finite,
@@ -44,7 +42,7 @@ from cutlearn.trail import (
     residual,
 )
 
-from conftest import F, binary_vars, mk
+from conftest import F, binary_vars, ext_add, ext_mul, mk
 
 coefs = st.integers(min_value=-4, max_value=4)
 

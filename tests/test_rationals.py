@@ -9,10 +9,6 @@ from hypothesis import strategies as st
 from cutlearn.rationals import (
     INF,
     NEG_INF,
-    InfinityArithmeticError,
-    ext_add,
-    ext_mul,
-    ext_neg,
     format_ext,
     format_rational,
     frac_ceil,
@@ -52,20 +48,6 @@ def test_frac_part_range(a):
 def test_floor_ceil_bracket(a):
     assert frac_floor(a) <= a <= frac_ceil(a)
     assert frac_ceil(a) - frac_floor(a) in (0, 1)
-
-
-def test_infinity_rules():
-    assert ext_add(INF, Fraction(5)) == INF
-    assert ext_add(NEG_INF, Fraction(5)) == NEG_INF
-    assert ext_mul(Fraction(-2), INF) == NEG_INF
-    assert ext_neg(NEG_INF) == INF
-
-
-def test_indeterminate_forms_raise():
-    with pytest.raises(InfinityArithmeticError):
-        ext_add(INF, NEG_INF)
-    with pytest.raises(InfinityArithmeticError):
-        ext_mul(Fraction(0), INF)
 
 
 def test_parse_rational_forms():
