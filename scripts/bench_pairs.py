@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload pigeonhole
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
+same seed; the side that goes first alternates between pairs, and every
+pair gets a fresh seed (11, 12, ...).  Every run is printed with its
+``attempted``, ``failed`` and ``correct`` fields and each metric.  Then, for
+every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` lists, come both
+sides' medians and quartiles, the pairs the change wins (a tie counts for
+neither side) and the relative change of the median next to the metric's
+``bound``.  The last line of standard output is all of it as one JSON
+object.  The exit status is 1 if any run was not correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+FIRST_SEED = 11
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``checkout``; its JSON result."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "error": f"exit status {proc.returncode}"}
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(metric: dict, runs: dict) -> dict:
+    """Both sides' median and quartiles of one metric, and the change's wins."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+    out = {}
+    for side in SIDES:
+        q1, q3 = quartiles(values[side])
+        out[side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3}
+    wins = sum(
+        (c < p) if lower else (c > p)
+        for p, c in zip(values["parent"], values["change"])
+    )
+    parent = out["parent"]["median"]
+    rel = (out["change"]["median"] - parent) / parent if parent else 0.0
+    out.update(
+        change_wins=wins,
+        ties=sum(p == c for p, c in zip(values["parent"], values["change"])),
+        pairs=len(values["parent"]),
+        median_change_rel=rel,
+        parent_iqr=out["parent"]["q3"] - out["parent"]["q1"],
+        bound=metric["bound"],
+        # Worse than the parent by more than the bound.
+        over_bound=(rel if lower else -rel) > metric["bound"],
+    )
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=55)
+    args = ap.parse_args(argv)
+
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    end_to_end = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {side: [] for side in SIDES}
+    for k in range(args.pairs):
+        seed = FIRST_SEED + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(dirs[side], args.workload, seed, args.seconds)
+            result.update(pair=k, seed=seed, side=side, first=side == order[0])
+            runs[side].append(result)
+            metrics = " ".join(
+                f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()
+            )
+            print(
+                f"pair {k} seed {seed} {side:6} attempted={result['attempted']} "
+                f"failed={result['failed']} correct={result['correct']} {metrics}",
+                flush=True,
+            )
+
+    ok = all(r["correct"] for side in SIDES for r in runs[side])
+    summary = {}
+    if ok:
+        for metric in end_to_end:
+            s = summary[metric["name"]] = summarize(metric, runs)
+            p, c = s["parent"], s["change"]
+            print(
+                f"{metric['name']}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+                f"  change wins {s['change_wins']}/{s['pairs']}"
+                f"  {s['median_change_rel']:+.1%} (bound {s['bound']:.0%})"
+                + ("  OVER BOUND" if s["over_bound"] else "")
+            )
+    else:
+        print("a run was not correct; no summary", file=sys.stderr)
+    print(json.dumps({
+        "workload": args.workload, "seconds": args.seconds, "correct": ok,
+        "runs": runs, "summary": summary,
+    }))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

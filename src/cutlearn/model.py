@@ -26,6 +26,25 @@ from .rationals import (
 )
 
 
+def _exact(value, owner: str, what: str, var: Optional[int] = None) -> Rat:
+    """``value`` as a Fraction.  A float is refused: a finite one is
+    binary-float residue, and an infinite one is no coefficient, right-hand
+    side or atom value."""
+    if isinstance(value, float):
+        on = "" if var is None else f" on x{var}"
+        raise ValueError(
+            f"{owner} has float {what} {value}{on}; "
+            f"{what}s must be exact (int or Fraction)"
+        )
+    return Fraction(value)
+
+
+def _exact_terms(terms: Mapping[int, Rat], owner: str) -> Tuple[Tuple[int, Rat], ...]:
+    """``terms`` as exact nonzero Fractions sorted by variable index."""
+    exact = ((j, _exact(c, owner, "coefficient", j)) for j, c in terms.items())
+    return tuple(sorted((j, c) for j, c in exact if c != 0))
+
+
 class VarKind(enum.Enum):
     BINARY = "binary"
     INTEGER = "integer"
@@ -89,10 +108,9 @@ class LinearConstraint:
 
     @staticmethod
     def from_dict(terms: Mapping[int, Rat], rhs, origin: str = "model") -> "LinearConstraint":
-        items = tuple(
-            sorted((j, Fraction(c)) for j, c in terms.items() if c != 0)
+        return LinearConstraint(
+            _exact_terms(terms, "row"), _exact(rhs, "row", "right-hand side"), origin
         )
-        return LinearConstraint(items, Fraction(rhs), origin)
 
     def coef(self, var: int) -> Rat:
         for j, c in self.terms:
@@ -108,7 +126,7 @@ class LinearConstraint:
 
     def scaled(self, factor: Rat) -> "LinearConstraint":
         """Multiply by a positive rational (an equivalence transformation)."""
-        factor = Fraction(factor)
+        factor = _exact(factor, "row scaling", "factor")
         if factor <= 0:
             raise ValueError("scaling factor must be positive")
         return LinearConstraint(
@@ -118,14 +136,29 @@ class LinearConstraint:
         )
 
     def combined(self, other: "LinearConstraint", mult: Rat, origin: str = "derived") -> "LinearConstraint":
-        """Return self + mult * other for a positive multiplier."""
-        mult = Fraction(mult)
+        """Return self + mult * other for a positive multiplier.
+
+        Both operands' terms are already exact and nonzero, so only a sum of
+        two terms can cancel, and the result's terms are built directly.
+        """
+        mult = _exact(mult, "aggregation", "multiplier")
         if mult <= 0:
             raise ValueError("aggregation multiplier must be positive")
-        acc = self.as_dict()
-        for j, c in other.terms:
-            acc[j] = acc.get(j, ZERO) + mult * c
-        return LinearConstraint.from_dict(acc, self.rhs + mult * other.rhs, origin)
+        if mult == 1:
+            added, rhs = other.terms, self.rhs + other.rhs
+        else:
+            added = [(j, mult * c) for j, c in other.terms]
+            rhs = self.rhs + mult * other.rhs
+        acc = dict(self.terms)
+        for j, c in added:
+            a = acc.get(j)
+            if a is not None:
+                c = a + c
+                if not c:
+                    del acc[j]
+                    continue
+            acc[j] = c
+        return LinearConstraint(tuple(sorted(acc.items())), rhs, origin)
 
     def canonical_scale(self) -> "LinearConstraint":
         """Scale so coefficients are integers with gcd 1 (rhs follows along)."""
@@ -155,6 +188,13 @@ class BoundAtom:
     var: int
     kind: BoundKind
     value: Rat
+
+    def __post_init__(self):
+        if isinstance(self.value, float):
+            raise ValueError(
+                f"bound atom on x{self.var} has float value {self.value}; "
+                "atom values must be exact (int or Fraction)"
+            )
 
     def holds(self, lb: Ext, ub: Ext) -> Optional[bool]:
         """Status under a bound box: True if forced, False if impossible, None if open."""
@@ -230,8 +270,8 @@ def build_problem(
             rows.append(con)
             continue
         terms, op, rhs = con
-        terms = {j: Fraction(c) for j, c in terms.items() if c != 0}
-        rhs = Fraction(rhs)
+        terms = {j: _exact(c, "row", "coefficient", j) for j, c in terms.items()}
+        rhs = _exact(rhs, "row", "right-hand side")
         if op == ">=":
             rows.append(LinearConstraint.from_dict(terms, rhs))
         elif op == "<=":
@@ -256,7 +296,7 @@ def build_problem(
         for j in objective:
             if not 0 <= j < n:
                 raise ValueError(f"objective references undeclared variable index {j}")
-        obj = tuple(sorted((j, Fraction(c)) for j, c in objective.items() if c != 0))
+        obj = _exact_terms(objective, "objective")
 
     return Problem(tuple(variables), tuple(rows), obj)
 

@@ -1,12 +1,16 @@
 """Exact rational scalars extended with +/- infinity.
 
-Finite values are ``int`` or ``fractions.Fraction``; a value is infinite
-exactly when it is one of the float sentinels ``INF`` and ``NEG_INF``.  No
-code adds, subtracts or multiplies an infinity: it only compares one or
-tests it with ``is_finite``.  That rule holds because ``Variable`` refuses
-finite float bounds and empty domains, ``Trail`` stores every pushed value
-as a ``Fraction``, and every remaining subtraction or product on a bound is
-guarded by ``is_finite``.  So ``inf - inf`` and ``0 * inf`` never arise.
+Finite values are ``int`` or ``fractions.Fraction``.  A value is infinite
+exactly when it is a float, and the only floats are the sentinels ``INF``
+and ``NEG_INF``, so ``is_inf`` is a type test rather than two comparisons.
+That holds because every other float is refused where values enter the
+model: ``Variable`` refuses finite float bounds and empty domains, and rows
+(``LinearConstraint.from_dict``, ``build_problem``), objectives and bound
+atoms refuse every float, infinite ones included.  ``Trail`` stores every
+pushed value as a ``Fraction``.  No code adds, subtracts or multiplies an
+infinity: it only compares one or tests it with ``is_finite``, and every
+subtraction or product on a bound is guarded by ``is_finite``.  So
+``inf - inf`` and ``0 * inf`` never arise.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ ONE = Fraction(1)
 
 
 def is_inf(x: Ext) -> bool:
-    return x == INF or x == NEG_INF
+    return isinstance(x, float)
 
 
 def is_finite(x: Ext) -> bool:
-    return not is_inf(x)
+    return not isinstance(x, float)
 
 
 def frac_floor(a: Rat) -> Rat:
@@ -47,7 +51,7 @@ def frac_part(a: Rat) -> Rat:
 
 
 def is_integral(a: Ext) -> bool:
-    return is_finite(a) and a.denominator == 1
+    return not isinstance(a, float) and a.denominator == 1
 
 
 def parse_rational(text: str) -> Rat:

@@ -110,6 +110,28 @@ def test_exact_and_infinite_bounds_accepted():
     Variable(0, "y", VarKind.CONTINUOUS, float("-inf"), float("inf"))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: LinearConstraint.from_dict({0: x}, F(1)),
+        lambda x: LinearConstraint.from_dict({0: F(1)}, x),
+        lambda x: build_problem(binary_vars(1), [({0: x}, ">=", F(0))]),
+        lambda x: build_problem(binary_vars(1), [({0: F(1)}, "=", x)]),
+        lambda x: build_problem(binary_vars(1), [], {0: x}),
+        lambda x: BoundAtom(0, BoundKind.LOWER, x),
+    ],
+    ids=["coefficient", "rhs", "tuple_row", "tuple_rhs", "objective", "atom"],
+)
+@pytest.mark.parametrize("x", [0.1, 0.5, 0.0, INF, NEG_INF])
+def test_float_value_rejected(build, x):
+    """Only a variable's bound may be a float, and only INF or NEG_INF.
+    A finite float would enter as binary-float residue (0.1 as
+    3602879701896397/36028797018963968), and an infinite one would be read
+    as an infinite bound by ``is_inf``'s type test."""
+    with pytest.raises(ValueError, match="float"):
+        build(x)
+
+
 def test_build_problem_canonicalizes_senses():
     vs = binary_vars(2)
     p = build_problem(

@@ -15,6 +15,7 @@ from cutlearn.rationals import (
     frac_floor,
     frac_part,
     is_finite,
+    is_inf,
     is_integral,
     parse_ext,
     parse_rational,
@@ -23,6 +24,32 @@ from cutlearn.rationals import (
 rationals = st.fractions(
     min_value=-(10**9), max_value=10**9, max_denominator=10**6
 )
+
+
+class _FloatSubclass(float):
+    pass
+
+
+extended = st.one_of(
+    st.integers(),
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(min_value=10**30) | st.integers(max_value=-(10**30)),
+        st.integers(min_value=1),
+    ),
+    st.sampled_from([INF, NEG_INF, _FloatSubclass("inf"), _FloatSubclass("-inf")]),
+)
+
+
+@given(extended)
+def test_infinite_exactly_when_float(x):
+    """The type test agrees with comparing against both sentinels, and
+    ``is_integral`` answers as it did when built on that comparison."""
+    infinite = x == INF or x == NEG_INF
+    assert is_inf(x) == infinite
+    assert is_finite(x) == (not infinite)
+    assert is_integral(x) == (not infinite and x.denominator == 1)
 
 
 @given(rationals, rationals)

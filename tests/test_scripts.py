@@ -3,10 +3,11 @@
 The scripts import solver names directly, so a refactor that renames or
 deletes one of them breaks a script without breaking any other test.
 ``validate_random`` is also an oracle cross-check on general-integer
-instances.
+instances, and ``bench_pairs`` runs the benchmark briefly.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,18 @@ def _load(name):
 )
 def test_script_main_succeeds(name, argv):
     assert _load(name).main(argv) == 0
+
+
+def test_bench_pairs_smoke(capsys):
+    """One short pair with the repository as both sides: every run is
+    correct, and the summary covers every end-to-end metric."""
+    root = str(SCRIPTS.parent)
+    argv = [root, root, "--workload", "pigeonhole", "--pairs", "1", "--seconds", "0.2"]
+    assert _load("bench_pairs").main(argv) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"]
+    assert [r["side"] for r in result["runs"]["parent"]] == ["parent"]
+    benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    assert set(result["summary"]) == {m["name"] for m in benchmark["end_to_end"]}
+    assert result["summary"]["nodes"]["parent"]["median"] == 72
+    assert result["summary"]["nodes"]["change_wins"] == 0
