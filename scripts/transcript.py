@@ -17,6 +17,10 @@ the random sweep generators (through both ``solve`` and ``run_two_phase``),
 the desk corpus (``run_two_phase``) and PHP(p, p - 1) (``solve``).
 ``--every N`` keeps every Nth sweep seed.
 
+The last line counts, over every result ``analyze`` returned, the steps of
+their traces by action and the results by outcome, so a diff shows which
+reason handlers the identity check reached.
+
 Run it once with each checkout's ``src`` on ``PYTHONPATH`` and diff the
 outputs; a change that keeps the search leaves them identical:
 
@@ -26,6 +30,7 @@ outputs; a change that keeps the search leaves them identical:
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 from cutlearn import search
@@ -85,6 +90,10 @@ def format_analysis(label, k, out):
     )
 
 
+def format_counts(counts):
+    return " ".join(f"{key}={n}" for key, n in sorted(counts.items()))
+
+
 @contextmanager
 def returned_analyses(returned):
     """Wrap the ``analyze`` and ``graph_fallback`` that search calls, so each
@@ -142,6 +151,7 @@ def main(argv=None):
     if args.every < 1:
         ap.error("--every must be at least 1")
 
+    actions, outcomes = Counter(), Counter()
     for name, problem, calls in instances(args):
         for strategy in ReductionStrategy:
             analyses = []
@@ -166,6 +176,12 @@ def main(argv=None):
                     print(format_analysis(f"{prefix} {call}", k, out))
                 for k, (tag, out) in enumerate(returned, 1):
                     print(format_analysis(f"{prefix} {call} {tag}", k, out))
+                    if tag == "analyze":
+                        outcomes[out.outcome] += 1
+                        actions.update(
+                            line.split(" action=")[1].split()[0] for line in out.trace
+                        )
+    print(f"analyze steps {format_counts(actions)} results {format_counts(outcomes)}")
     return 0
 
 

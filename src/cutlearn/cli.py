@@ -14,6 +14,7 @@ from .rationals import format_rational
 from .search import (
     SolveResult,
     SolverConfig,
+    SolverError,
     run_two_phase,
     solve,
     write_learned_file,
@@ -101,16 +102,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.command == "check":
-        return _cmd_check(problem)
+    if args.command != "check":
+        try:
+            config = _config_from_args(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
-        config = _config_from_args(args)
-    except ValueError as exc:
+        if args.command == "check":
+            return _cmd_check(problem)
+        if args.command == "solve":
+            return _cmd_solve(problem, config, args)
+        return _cmd_twophase(problem, config, args)
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "solve":
-        return _cmd_solve(problem, config, args)
-    return _cmd_twophase(problem, config, args)
 
 
 def _cmd_solve(problem: Problem, config: SolverConfig, args) -> int:

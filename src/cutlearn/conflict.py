@@ -22,6 +22,7 @@ from .cuts import (
     mir_cut,
     reduce_reason,
     resolve,
+    resolvent_infeasible,
     weaken,
 )
 from .model import (
@@ -42,11 +43,11 @@ from .rationals import INF, ONE, ZERO, Ext, is_finite
 from .trail import (
     INITIAL_STATE,
     BoundChange,
+    Bounds,
     RowReason,
     StateId,
     Trail,
     activity_bounds_max,
-    infeasible_at,
 )
 
 
@@ -204,21 +205,19 @@ class EarlierConflict:
 
 def reduce_mbp(
     C_reason: LinearConstraint,
-    C_confl: LinearConstraint,
-    x_r: int,
     trail: Trail,
     prop_state: StateId,
-    strategy: ReductionStrategy,
-    used_rows: Optional[Set[int]] = None,
+    used_rows: Set[int],
 ) -> Union[LinearConstraint, EarlierConflict]:
-    """Resolve out non-relaxable continuous variables, then reduce.
+    """Resolve out non-relaxable continuous variables, weaken the rest.
 
     Walks states strictly before ``prop_state`` in decreasing order; each
     visited state's change is on a continuous variable whose local bound
     blocks relaxing the working reason, and is cancelled using that state's
-    own reason.  Returns the reduced reason, or, if the aggregate becomes
-    infeasible just before ``prop_state``, that aggregate as an
-    ``EarlierConflict`` to replace the conflicting row.
+    own reason, whose row index goes into ``used_rows``.  Returns the
+    pure-binary reason left, or, if the aggregate becomes infeasible just
+    before ``prop_state``, that aggregate as an ``EarlierConflict`` to
+    replace the conflicting row.
     """
     variables = trail.variables
     work = C_reason
@@ -252,8 +251,7 @@ def reduce_mbp(
             raise ReductionError(
                 f"continuous variable x{target.var} propagated by a disjunction"
             )
-        if used_rows is not None:
-            used_rows.add(target.reason.index)
+        used_rows.add(target.reason.index)
         work = resolve(work, target.reason.row, target.var)
         if activity_bounds_max(work, pred_lb, pred_ub) < work.rhs:
             return EarlierConflict(work)
@@ -263,37 +261,31 @@ def reduce_mbp(
     for j, _ in work.terms:
         if variables[j].kind is VarKind.CONTINUOUS:
             work = weaken(work, j, variables)
-    return reduce_reason(strategy, work, C_confl, x_r, trail, prop_state)
+    return work
 
 
 def resolve_general_integer(
     C_reason: LinearConstraint,
     C_learn: LinearConstraint,
     x_r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """The reason to resolve a general-integer bound change with.
 
-    That is ``C_reason`` itself if the plain resolvent is infeasible at
-    ``state``, else the MIR cut of the reason in literal space, where every
+    That is ``C_reason`` itself if the plain resolvent is infeasible over
+    [lb, ub], else the MIR cut of the reason in literal space, where every
     variable lies on [0, ub - lb], mapped back to the original variables,
     if its resolvent is.  Raises ReductionError when neither is.
     """
-    variables = trail.variables
-    lb, ub = trail.bounds_at(state)
-
-    def explains(reason: LinearConstraint) -> bool:
-        res = resolve(C_learn, reason, x_r)
-        return activity_bounds_max(res, lb, ub) < res.rhs
-
     try:
-        if explains(C_reason):
+        if resolvent_infeasible(C_learn, C_reason, x_r, lb, ub):
             return C_reason
         norm, record = normalize_for_reduction(C_reason, x_r, variables)
         cut = mir_cut(norm, literal_variables(norm, variables))
         cut = denormalize(cut, record, variables)
-        if explains(cut):
+        if resolvent_infeasible(C_learn, cut, x_r, lb, ub):
             return cut
     except ValueError:  # CutError is a ValueError
         pass
@@ -376,28 +368,31 @@ def analyze(
         C_reason = ch.reason.row
         used.add(ch.reason.index)
         r = ch.var
+        lb, ub = trail.bounds_at(s)
         try:
             if is_tight_propagation(ch, trail):
                 reduced = C_reason
                 action = "tight"
             elif variables[r].kind is VarKind.BINARY:
-                has_continuous = any(
+                action = strategy.value
+                if any(
                     variables[j].kind is VarKind.CONTINUOUS
                     for j, _ in C_reason.terms
-                )
-                if has_continuous:
-                    reduced = reduce_mbp(C_reason, C_learn, r, trail, s, strategy, used)
-                    if isinstance(reduced, EarlierConflict):
-                        C_learn = _strengthen(reduced.constraint, variables)
+                ):
+                    C_reason = reduce_mbp(C_reason, trail, s, used)
+                    if isinstance(C_reason, EarlierConflict):
+                        C_learn = _strengthen(C_reason.constraint, variables)
                         step(s, r, "earlier-conflict")
                         continue
                     action = "mbp"
-                else:
-                    reduced = reduce_reason(strategy, C_reason, C_learn, r, trail, s)
-                    action = strategy.value
+                reduced = reduce_reason(
+                    strategy, C_reason, C_learn, r, variables, lb, ub
+                )
             else:
                 # A general integer: continuous propagations are always tight.
-                reduced = resolve_general_integer(C_reason, C_learn, r, trail, s)
+                reduced = resolve_general_integer(
+                    C_reason, C_learn, r, variables, lb, ub
+                )
                 action = "int-resolve" if reduced is C_reason else "separation-cut"
         except ReductionError as exc:
             return abandon(str(exc), conflicting_state=s)
@@ -408,7 +403,7 @@ def analyze(
         if action == "tight":
             # A tightly propagating reason guarantees the plain resolvent is
             # itself infeasible at the resolved state; check it.
-            assert infeasible_at(C_learn, trail, s), (
+            assert activity_bounds_max(C_learn, lb, ub) < C_learn.rhs, (
                 f"resolvent feasible at {s} after tight resolution on x{r}"
             )
         C_learn = _strengthen(C_learn, variables)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List
 
 from .model import LinearConstraint, Problem, Variable, VarKind, build_problem
 

@@ -1,11 +1,12 @@
 """Single-constraint strengthening operators and reason reductions for binary rows.
 
-The reduction entry points expect a reason constraint that propagates the
-resolved variable; they normalize it to unit coefficient on the resolved
-literal with nonnegative coefficients elsewhere, apply the operators below in
-that literal space, and map the result back to original variables.  A binary
-variable is its own literal on [0, 1], so the operators take the model's
-variables unchanged there.
+The reduction entry points take a reason constraint that propagates the
+resolved variable r and the local bounds ``lb``, ``ub`` of the state at
+which it did; they read no trail.  They normalize the reason to unit
+coefficient on the resolved literal with nonnegative coefficients elsewhere,
+apply the operators below in that literal space, and map the result back to
+original variables.  A binary variable is its own literal on [0, 1], so the
+operators take the model's variables unchanged there.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .rationals import (
     is_finite,
     is_integral,
 )
-from .trail import StateId, Trail, global_min_activity, infeasible_at
+from .trail import Bounds, activity_bounds_max, global_min_activity
 
 
 class CutError(ValueError):
@@ -154,18 +155,31 @@ def mir_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstra
 # -- reason reductions (pure binary, Assumption-1 form) ----------------------
 
 
+def resolvent_infeasible(
+    C: LinearConstraint, reason: LinearConstraint, r: int, lb: Bounds, ub: Bounds
+) -> bool:
+    """Is the resolvent of C and ``reason`` on r infeasible over [lb, ub]?
+
+    Raises CutError if the two cannot be resolved on r.
+    """
+    res = resolve(C, reason, r)
+    return activity_bounds_max(res, lb, ub) < res.rhs
+
+
 def _literal_reason(
-    C_reason: LinearConstraint, r: int, trail: Trail, state: StateId
+    C_reason: LinearConstraint,
+    r: int,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> Tuple[LinearConstraint, SubstitutionRecord, List[int]]:
     """Return the reason in literal space, its record and P: the literals
-    other than r not fixed at 0 at ``state`` (lb 0 for a complemented
-    binary, ub 1 for any other)."""
-    variables = trail.variables
+    other than r not fixed at 0 (lb 0 for a complemented binary, ub 1 for
+    any other)."""
     for j, _ in C_reason.terms:
         if variables[j].kind is not VarKind.BINARY:
             raise ReductionError("binary reduction applied to a non-binary reason")
     norm, record = normalize_for_reduction(C_reason, r, variables)
-    lb, ub = trail.bounds_at(state)
     P = [
         j
         for j, _ in norm.terms
@@ -187,41 +201,49 @@ def _check_gap(norm: LinearConstraint, P: List[int]) -> None:
 def reduce_clause(
     C_reason: LinearConstraint,
     r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """Clause over the resolved literal and the falsified literals (cover cut)."""
-    norm, record, P = _literal_reason(C_reason, r, trail, state)
+    norm, record, P = _literal_reason(C_reason, r, variables, lb, ub)
     clause = LinearConstraint.from_dict(
         {j: ONE for j, _ in norm.terms if j not in P}, ONE, "derived"
     )
-    return denormalize(clause, record, trail.variables)
+    return denormalize(clause, record, variables)
 
 
 def reduce_coeftight(
     C_reason: LinearConstraint,
     C_confl: LinearConstraint,
     r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """Weaken all relaxable literals (single sweep), then tighten coefficients.
 
     Returns the input unchanged if the plain resolvent is already infeasible
-    at ``state``; raises ReductionError if the reduction exhausts the
-    relaxable literals without restoring an infeasible resolvent.
+    over [lb, ub]; raises ReductionError if the reduction exhausts the
+    relaxable literals without restoring an infeasible resolvent.  A pair
+    that cannot be resolved counts as feasible.
     """
-    variables = trail.variables
-    if _resolvent_infeasible(C_reason, C_confl, r, trail, state):
-        return C_reason
-    work, record, P = _literal_reason(C_reason, r, trail, state)
+    try:
+        if resolvent_infeasible(C_confl, C_reason, r, lb, ub):
+            return C_reason
+    except CutError:
+        pass
+    work, record, P = _literal_reason(C_reason, r, variables, lb, ub)
     for j in P:
         work = weaken(work, j, variables)
     if work.rhs > 0:
         work = coef_tighten(work, variables)
     reduced = denormalize(work, record, variables).canonical_scale()
-    if _resolvent_infeasible(reduced, C_confl, r, trail, state):
-        return reduced
+    try:
+        if resolvent_infeasible(C_confl, reduced, r, lb, ub):
+            return reduced
+    except CutError:
+        pass
     raise ReductionError(
         "coefficient-tightening reduction exhausted relaxable literals"
     )
@@ -230,12 +252,12 @@ def reduce_coeftight(
 def reduce_cmir(
     C_reason: LinearConstraint,
     r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """Complement the locally-unfixed literals, apply MIR, complement back."""
-    variables = trail.variables
-    norm, record, P = _literal_reason(C_reason, r, trail, state)
+    norm, record, P = _literal_reason(C_reason, r, variables, lb, ub)
     _check_gap(norm, P)
     cut = mir_cut(complement(norm, P, variables), variables)
     return denormalize(complement(cut, P, variables), record, variables)
@@ -244,12 +266,12 @@ def reduce_cmir(
 def reduce_wmir(
     C_reason: LinearConstraint,
     r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """Weaken the fractional unfixed literals, then apply MIR."""
-    variables = trail.variables
-    work, record, P = _literal_reason(C_reason, r, trail, state)
+    work, record, P = _literal_reason(C_reason, r, variables, lb, ub)
     _check_gap(work, P)
     for j in P:
         if not is_integral(work.coef(j)):
@@ -257,35 +279,22 @@ def reduce_wmir(
     return denormalize(mir_cut(work, variables), record, variables)
 
 
-def _resolvent_infeasible(
-    C_reason: LinearConstraint,
-    C_confl: LinearConstraint,
-    r: int,
-    trail: Trail,
-    state: StateId,
-) -> bool:
-    try:
-        res = resolve(C_confl, C_reason, r)
-    except CutError:
-        return False
-    return infeasible_at(res, trail, state)
-
-
 def reduce_reason(
     strategy: ReductionStrategy,
     C_reason: LinearConstraint,
     C_confl: LinearConstraint,
     r: int,
-    trail: Trail,
-    state: StateId,
+    variables: Sequence[Variable],
+    lb: Bounds,
+    ub: Bounds,
 ) -> LinearConstraint:
     """Dispatch a binary reason reduction by strategy."""
     if strategy is ReductionStrategy.CLAUSE:
-        return reduce_clause(C_reason, r, trail, state)
+        return reduce_clause(C_reason, r, variables, lb, ub)
     if strategy is ReductionStrategy.COEF_TIGHT:
-        return reduce_coeftight(C_reason, C_confl, r, trail, state)
+        return reduce_coeftight(C_reason, C_confl, r, variables, lb, ub)
     if strategy is ReductionStrategy.CMIR:
-        return reduce_cmir(C_reason, r, trail, state)
+        return reduce_cmir(C_reason, r, variables, lb, ub)
     if strategy is ReductionStrategy.WMIR:
-        return reduce_wmir(C_reason, r, trail, state)
+        return reduce_wmir(C_reason, r, variables, lb, ub)
     raise ValueError(f"unknown strategy {strategy}")

@@ -14,15 +14,12 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .model import LinearConstraint, Problem, Variable, VarKind, build_problem
+from .model import Problem, Variable, VarKind, build_problem
 from .rationals import (
-    INF,
-    NEG_INF,
     Ext,
     Rat,
     format_ext,
     format_rational,
-    is_finite,
     parse_ext,
     parse_rational,
 )
@@ -245,12 +242,6 @@ def _format_terms(problem: Problem, terms: Dict[int, Rat]) -> str:
 
 
 # -- statistics ----------------------------------------------------------------
-
-_STATS_KEYS = tuple(f.name for f in dataclasses.fields(Stats)) + (
-    "status",
-    "objective",
-)
-
 
 def emit_stats(stats: Stats, status: str = "", objective: Optional[Rat] = None) -> str:
     payload = dataclasses.asdict(stats)

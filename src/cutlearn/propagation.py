@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .model import BoundDisjunction, BoundKind, LinearConstraint, VarKind
+from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
 from .rationals import Rat, frac_ceil, frac_floor, is_integral
 from .trail import (
     BoundChange,
+    Bounds,
     DisjunctionReason,
     RowReason,
     StateId,
@@ -39,17 +40,13 @@ CONFLICT = PropagationResult(True)
 
 
 def propagate_candidates(
-    C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
+    C: LinearConstraint, variables: Sequence[Variable], lb: Bounds, ub: Bounds
 ) -> PropagationResult:
-    """Candidates from one row against the bounds at ``state`` (default: current).
+    """Candidates from one row against the box [lb, ub].
 
     The row's activity is computed once; each term's residual (the max
     activity of the other terms) then costs O(1).
     """
-    if state is None:
-        lb, ub = trail.local_lb, trail.local_ub
-    else:
-        lb, ub = trail.bounds_at(state)
     finite, infinite, contribs = activity(C, lb, ub)
     if infinite == 0 and finite < C.rhs:
         return CONFLICT
@@ -61,7 +58,7 @@ def propagate_candidates(
         if rest is None:
             continue
         pre = (C.rhs - rest) / a
-        var = trail.variables[j]
+        var = variables[j]
         if a > 0:
             value = frac_ceil(pre) if var.is_integral else pre
             if value > lb[j]:
@@ -132,6 +129,8 @@ def propagate_fixpoint(
     so the order, the deductions and any conflict stay those of a plain
     round robin.
     """
+    # The trail updates its bound vectors in place.
+    variables, lb, ub = trail.variables, trail.local_lb, trail.local_ub
     num_changes = 0
     changed = True
     rounds = 0
@@ -142,7 +141,7 @@ def propagate_fixpoint(
             if trail.is_stable(i, row):
                 continue
             while True:
-                result = propagate_candidates(row, trail)
+                result = propagate_candidates(row, variables, lb, ub)
                 if result.conflict:
                     return FixpointResult(
                         True, ("row", i), trail.current_state, num_changes

@@ -61,8 +61,10 @@ class SolverConfig:
     on_analysis: Optional[Callable[[AnalysisResult, Trail], None]] = None
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.conflict_limit < 0:
-            raise ValueError("limits must be positive")
+        if self.node_limit <= 0:
+            raise ValueError("node limit must be positive")
+        if self.conflict_limit < 0:
+            raise ValueError("conflict limit must be 0 or more")
         if self.mode not in ("solve", "generate"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -106,9 +106,6 @@ class Trail:
             prev = ch.state
         raise KeyError(f"no change at state {state}")
 
-    def states(self) -> List[StateId]:
-        return [ch.state for ch in self.changes]
-
     # -- mutation ----------------------------------------------------------
 
     def _next_state(self, decision: bool) -> StateId:
@@ -284,13 +281,6 @@ def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
     return finite if infinite == 0 else INF
 
 
-def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
-    if state is None:
-        return activity_bounds_max(C, trail.local_lb, trail.local_ub)
-    lb, ub = trail.bounds_at(state)
-    return activity_bounds_max(C, lb, ub)
-
-
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
     """C's min activity at the global bounds, in one pass over its terms."""
     total = ZERO
@@ -301,9 +291,3 @@ def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> E
             return NEG_INF
         total += a * bound
     return total
-
-
-def infeasible_at(
-    C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
-) -> bool:
-    return max_activity(C, trail, state) < C.rhs

@@ -1,7 +1,8 @@
 """Shared builders for the test suite, and the checked extended arithmetic
-that the reference implementations use."""
+and trail activity queries that the reference implementations use."""
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -13,8 +14,31 @@ from cutlearn.model import (
     build_problem,
 )
 from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_inf
+from cutlearn.trail import StateId, Trail, activity_bounds_max
 
 F = Fraction
+
+
+# -- a trail's bounds at the current or an earlier state ---------------------
+
+
+def box(trail: Trail, state: Optional[StateId] = None):
+    """(variables, lb, ub) at ``state`` (default: the current state), the
+    arguments the reductions and ``propagate_candidates`` take after the row."""
+    if state is None:
+        return trail.variables, trail.local_lb, trail.local_ub
+    return (trail.variables, *trail.bounds_at(state))
+
+
+def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
+    _, lb, ub = box(trail, state)
+    return activity_bounds_max(C, lb, ub)
+
+
+def infeasible_at(
+    C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
+) -> bool:
+    return max_activity(C, trail, state) < C.rhs
 
 
 # -- checked extended arithmetic for reference implementations ----------------

@@ -31,7 +31,9 @@ from cutlearn.rationals import (
     is_finite,
     is_integral,
 )
-from cutlearn.trail import StateId, Trail, activity_bounds_max, infeasible_at
+from cutlearn.trail import StateId, Trail, activity_bounds_max
+
+from conftest import infeasible_at
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ Each test is self-contained and prints exactly one pass/fail line under
 level so the agreement suite and the tight-resolution suite share one run.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -32,34 +33,36 @@ from cutlearn.cuts import (
     reduce_clause,
     reduce_cmir,
     reduce_coeftight,
+    reduce_reason,
     reduce_wmir,
     resolve,
     weaken,
 )
-from cutlearn.fileio import _STATS_KEYS, emit_result_stats
+from cutlearn.fileio import emit_result_stats
 from cutlearn.model import (
     BoundKind,
     LinearConstraint,
     build_problem,
-    evaluate,
+    violation,
 )
 from cutlearn.oracle import oracle_optimum, validate_learned
 from cutlearn.propagation import propagate_candidates, propagate_fixpoint
 from cutlearn.rationals import is_integral
-from cutlearn.search import SolverConfig, run_two_phase, solve
+from cutlearn.search import SolverConfig, Stats, run_two_phase, solve
 from cutlearn.trail import (
     INITIAL_STATE,
     RowReason,
     StateId,
     Trail,
-    infeasible_at,
-    max_activity,
 )
 
 from conftest import (
     F,
     binary_vars,
+    box,
     fallback_problem,
+    infeasible_at,
+    max_activity,
     mbp5_system,
     mk,
     separation_instance,
@@ -84,8 +87,8 @@ def test_criterion_1_reduction_restores_binary_conflict_explanation():
     assert max_activity(naive, t) >= naive.rhs
 
     # both the tightening and the rounding reduction shrink the reason
-    ct = reduce_coeftight(reason, confl, 2, t, s)
-    cm = reduce_cmir(reason, 2, t, s)
+    ct = reduce_coeftight(reason, confl, 2, *box(t, s))
+    cm = reduce_cmir(reason, 2, *box(t, s))
     assert ct == cm == mk({0: 1, 2: 1}, 1)
 
     # resolving with the reduced reason explains the conflict again,
@@ -107,8 +110,8 @@ def test_criterion_2_weakening_before_vs_after_rounding():
     t.push_decision(0, BoundKind.UPPER, 0)
     s = t.current_state
 
-    w = reduce_wmir(reason, 3, t, s)
-    c = reduce_cmir(reason, 3, t, s)
+    w = reduce_wmir(reason, 3, *box(t, s))
+    c = reduce_cmir(reason, 3, *box(t, s))
     assert w == mk({0: 2, 3: 1}, 1)
     assert c == mk({0: 2, 1: 1, 2: 1, 3: 1}, 3)
 
@@ -150,8 +153,10 @@ def test_criterion_3_continuous_elimination_learns_mixed_row():
     assert step1 == mk({0: F(35, 2), 4: F(-7, 2)}, F(1, 4))
     step2 = resolve(step1, rows[4], 4)
     assert step2 == mk({0: F(35, 2), 2: F(-7, 2)}, F(1, 4))
-    out = reduce_mbp(rows[1], rows[2], 0, t, StateId(1, 5), ReductionStrategy.CMIR)
-    assert isinstance(out, LinearConstraint)
+    s = StateId(1, 5)
+    binary = reduce_mbp(rows[1], t, s, set())
+    assert binary == step2
+    out = reduce_reason(ReductionStrategy.CMIR, binary, rows[2], 0, *box(t, s))
     assert out == mk({0: 1}, 1)
 
     # the full analysis learns a mixed row, infeasible inside the x2 <= 0 level
@@ -228,9 +233,7 @@ def _run_agreement_sweep():
                 assert result.status == "optimal"
                 if problem.objective is not None:
                     assert result.objective == truth.value
-                witness = list(result.witness)
-                for C in problem.constraints:
-                    assert evaluate(C, witness).satisfied
+                assert violation(problem, result.witness) is None
             for obj in result.learned:
                 assert validate_learned(problem, obj)
                 counters["learned_objects"] += 1
@@ -281,7 +284,7 @@ def _random_nontight_reason(rng):
             t.push_decision(j, kind, 0 if kind is BoundKind.UPPER else 1)
         except ValueError:
             pass
-    res = propagate_candidates(reason, t)
+    res = propagate_candidates(reason, *box(t))
     if res.conflict:
         return None
     cands = [c for c in res.changes if not is_integral(c.pre_rounding)]
@@ -303,8 +306,8 @@ def _reason_samples(count=1000, seed=1):
             continue
         vs, reason, r, t, state, n = s
         try:
-            cm = reduce_cmir(reason, r, t, state)
-            wm = reduce_wmir(reason, r, t, state)
+            cm = reduce_cmir(reason, r, *box(t, state))
+            wm = reduce_wmir(reason, r, *box(t, state))
         except ReductionError:
             continue
         samples.append((vs, reason, r, t, state, n, cm, wm))
@@ -312,7 +315,7 @@ def _reason_samples(count=1000, seed=1):
 
 
 def _propagates_tightly(red, r, t, state):
-    res = propagate_candidates(red, t, t.predecessor(state))
+    res = propagate_candidates(red, *box(t, t.predecessor(state)))
     for c in res.changes:
         if c.var == r:
             return is_integral(c.pre_rounding)
@@ -340,7 +343,7 @@ def test_criterion_5_reduced_reasons_propagate_tightly():
         else:
             confl = LinearConstraint.from_dict({r: k, n: F(1)}, k)
         try:
-            ct = reduce_coeftight(reason, confl, r, t, state)
+            ct = reduce_coeftight(reason, confl, r, *box(t, state))
         except (ReductionError, CutError):
             continue
         if ct == reason:
@@ -372,7 +375,7 @@ def test_criterion_6_late_weakening_dominates_early_weakening():
         # the weaker output is exactly the stronger one with the
         # fractional-coefficient literals weakened away (a coefficient the
         # rounding already cancelled weakens for free)
-        norm, _, P = _literal_reason(reason, r, t, state)
+        norm, _, P = _literal_reason(reason, r, *box(t, state))
         wk = cm
         for j in P:
             if not is_integral(norm.coef(j)) and wk.coef(j) != 0:
@@ -395,7 +398,9 @@ def test_criterion_8_two_phase_harness_on_desk_corpus():
             )
             phase1_nodes.add(r1.stats.nodes)
             payload = json.loads(emit_result_stats(r2))
-            assert tuple(payload) == _STATS_KEYS
+            assert tuple(payload) == tuple(
+                f.name for f in dataclasses.fields(Stats)
+            ) + ("status", "objective")
             assert isinstance(payload["learned_linear"], int)
             assert payload["learned_linear"] >= 0
             avg = payload["avg_learned_length"]
@@ -419,7 +424,7 @@ def test_criterion_9_general_integer_cut_and_disjunction_fallback():
     t.push_decision(1, BoundKind.UPPER, 0)
     res = propagate_fixpoint(t, [reason, confl])
     assert res.conflict
-    cut = resolve_general_integer(reason, confl, 0, t, t.current_state)
+    cut = resolve_general_integer(reason, confl, 0, *box(t))
     assert cut == mk({0: 1, 1: 1}, 2)
     problem = build_problem(
         vs, [(dict(C.terms), ">=", C.rhs) for C in (reason, confl)]
@@ -439,7 +444,7 @@ def test_criterion_9_general_integer_cut_and_disjunction_fallback():
     s2 = min_infeasible_state(confl2, t2)
     ch = t2.change_at(s2)
     with pytest.raises(ReductionError, match="general-integer resolution failed"):
-        resolve_general_integer(ch.reason.row, confl2, ch.var, t2, s2)
+        resolve_general_integer(ch.reason.row, confl2, ch.var, *box(t2, s2))
 
     result = solve(fb)
     truth = oracle_optimum(fb)

@@ -197,9 +197,12 @@ def test_bad_flags(tmp_path, capsys):
     capsys.readouterr()
     path = _write(tmp_path, "a.opb", OPB)
     for command in ("solve", "twophase"):
-        for flag, value in (("--node-limit", "0"), ("--conflict-limit", "-1")):
+        for flag, value, message in (
+            ("--node-limit", "0", "node limit must be positive"),
+            ("--conflict-limit", "-1", "conflict limit must be 0 or more"),
+        ):
             assert main([command, path, flag, value]) == EXIT_INPUT_ERROR
-            assert capsys.readouterr().err == "error: limits must be positive\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_seed_flag_is_rejected(tmp_path, capsys):
@@ -216,6 +219,25 @@ def test_trace_flag_is_rejected(tmp_path, capsys):
     assert main(["solve", path, "--trace", str(trace)]) == EXIT_INPUT_ERROR
     assert "--trace" in capsys.readouterr().err
     assert not trace.exists()
+
+
+UNBOUNDED = (
+    "var x binary\n"
+    "var y continuous [-inf, inf]\n"
+    "min: y\n"
+    "con c: x - y >= 0\n"
+)
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "twophase"])
+def test_unbounded_objective_is_an_input_error(tmp_path, capsys, command):
+    """y can fall without limit, so there is no optimum: every command
+    reports that and exits, with no traceback."""
+    path = _write(tmp_path, "unbounded.txt", UNBOUNDED)
+    assert main([command, path]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: continuous objective part unbounded below\n"
+    )
 
 
 def test_empty_domain_is_an_input_error(tmp_path, capsys):

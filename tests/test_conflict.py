@@ -14,11 +14,16 @@ from cutlearn.conflict import (
     reduce_mbp,
     resolve_general_integer,
 )
-from cutlearn.cuts import ReductionError, ReductionStrategy, coef_tighten, resolve
+from cutlearn.cuts import (
+    ReductionError,
+    ReductionStrategy,
+    coef_tighten,
+    reduce_reason,
+    resolve,
+)
 from cutlearn.model import (
     BoundDisjunction,
     BoundKind,
-    LinearConstraint,
     Variable,
     VarKind,
     build_problem,
@@ -40,10 +45,9 @@ from cutlearn.trail import (
     Trail,
     activity_bounds_max,
     global_min_activity,
-    max_activity,
 )
 
-from conftest import F, binary_vars, ext_add, ext_mul, mbp5_system, mk
+from conftest import F, binary_vars, box, ext_add, ext_mul, max_activity, mbp5_system, mk
 
 
 # -- helper state queries -----------------------------------------------------
@@ -328,8 +332,10 @@ def test_continuous_elimination_chain():
     assert step1 == mk({0: F(35, 2), 4: F(-7, 2)}, F(1, 4))
     step2 = resolve(step1, rows[4], 4)
     assert step2 == mk({0: F(35, 2), 2: F(-7, 2)}, F(1, 4))
-    out = reduce_mbp(rows[1], rows[2], 0, t, StateId(1, 5), ReductionStrategy.CMIR)
-    assert isinstance(out, LinearConstraint)
+    s = StateId(1, 5)
+    binary = reduce_mbp(rows[1], t, s, set())
+    assert binary == step2
+    out = reduce_reason(ReductionStrategy.CMIR, binary, rows[2], 0, *box(t, s))
     assert out == mk({0: 1}, 1)
 
 
@@ -367,7 +373,7 @@ def _earlier_conflict():
 def test_reduce_mbp_reports_an_earlier_conflict():
     _, rows, t, C = _earlier_conflict()
     used = set()
-    out = reduce_mbp(rows[0], C, 0, t, StateId(1, 1), ReductionStrategy.CMIR, used)
+    out = reduce_mbp(rows[0], t, StateId(1, 1), used)
     assert out == EarlierConflict(mk({0: 1, 1: -7}, F(-5, 2)))
     assert used == {1}
 
@@ -404,7 +410,7 @@ def test_general_integer_plain_resolution():
     t = Trail(vs)
     t.push_decision(1, BoundKind.UPPER, 0)
     propagate_fixpoint(t, [R, Cc])
-    out = resolve_general_integer(R, Cc, 0, t, t.current_state)
+    out = resolve_general_integer(R, Cc, 0, *box(t))
     assert out is R
     assert resolve(Cc, out, 0) == mk({1: F(1, 2)}, F(1, 2))
 
@@ -419,7 +425,7 @@ def test_general_integer_separation_cut():
     t.push_decision(1, BoundKind.UPPER, 0)
     res = propagate_fixpoint(t, [R, Cc])
     assert res.conflict
-    cut = resolve_general_integer(R, Cc, 0, t, t.current_state)
+    cut = resolve_general_integer(R, Cc, 0, *box(t))
     assert cut == mk({0: 1, 1: 1}, 2)
     # valid for the reason's integer points
     for z in range(6):
@@ -448,7 +454,7 @@ def test_general_integer_separation_failure():
     ch = t.change_at(s)
     assert ch.var == 1 and ch.pre_rounding == F(3, 2)
     with pytest.raises(ReductionError, match="general-integer resolution failed"):
-        resolve_general_integer(ch.reason.row, Cc, ch.var, t, s)
+        resolve_general_integer(ch.reason.row, Cc, ch.var, *box(t, s))
     result = analyze(Cc, t, ReductionStrategy.CMIR)
     assert result.outcome == "abandoned"
     assert result.abandoned_reason == "general-integer resolution failed"

@@ -32,10 +32,10 @@ from cutlearn.model import (
 )
 from cutlearn.propagation import propagate_candidates
 from cutlearn.rationals import INF, NEG_INF
-from cutlearn.trail import RowReason, Trail, activity, max_activity
+from cutlearn.trail import RowReason, Trail, activity
 
 import reduction_reference as ref
-from conftest import F, binary_vars, mk
+from conftest import F, binary_vars, box, max_activity, mk
 
 
 def binary_points(n):
@@ -215,9 +215,9 @@ def test_plain_resolvent_can_stay_feasible():
 def test_reductions_restore_infeasible_resolvent():
     Cr, Cc, t = _pipeline_one()
     s = t.current_state
-    ct = reduce_coeftight(Cr, Cc, 2, t, s)
-    cm = reduce_cmir(Cr, 2, t, s)
-    cl = reduce_clause(Cr, 2, t, s)
+    ct = reduce_coeftight(Cr, Cc, 2, *box(t, s))
+    cm = reduce_cmir(Cr, 2, *box(t, s))
+    cl = reduce_clause(Cr, 2, *box(t, s))
     assert ct == cm == cl == mk({0: 1, 2: 1}, 1)
     res = resolve(Cc, ct, 2)
     assert res == mk({0: 3, 3: 1, 4: 1}, 3)
@@ -238,7 +238,7 @@ def test_reductions_keep_integer_points_of_the_reason():
     Cr, Cc, t = _pipeline_one()
     s = t.current_state
     for strategy in ReductionStrategy:
-        red = reduce_reason(strategy, Cr, Cc, 2, t, s)
+        red = reduce_reason(strategy, Cr, Cc, 2, *box(t, s))
         for p in binary_points(5):
             if p[0] != 0:  # only points inside the local box
                 continue
@@ -250,8 +250,8 @@ def test_reduced_reason_still_propagates():
     Cr, Cc, t = _pipeline_one()
     s = t.current_state
     for strategy in ReductionStrategy:
-        red = reduce_reason(strategy, Cr, Cc, 2, t, s)
-        result = propagate_candidates(red, t, s)
+        red = reduce_reason(strategy, Cr, Cc, 2, *box(t, s))
+        result = propagate_candidates(red, *box(t, s))
         assert any(
             c.var == 2 and c.kind is BoundKind.LOWER and c.value >= 1
             for c in result.changes
@@ -272,8 +272,8 @@ def _pipeline_two():
 def test_wmir_weakens_before_rounding():
     C, t = _pipeline_two()
     s = t.current_state
-    w = reduce_wmir(C, 3, t, s)
-    c = reduce_cmir(C, 3, t, s)
+    w = reduce_wmir(C, 3, *box(t, s))
+    c = reduce_cmir(C, 3, *box(t, s))
     assert w == mk({0: 2, 3: 1}, 1)
     assert c == mk({0: 2, 1: 1, 2: 1, 3: 1}, 3)
 
@@ -281,16 +281,16 @@ def test_wmir_weakens_before_rounding():
 def test_wmir_equals_weakened_cmir():
     C, t = _pipeline_two()
     s = t.current_state
-    w = reduce_wmir(C, 3, t, s)
-    c = reduce_cmir(C, 3, t, s)
+    w = reduce_wmir(C, 3, *box(t, s))
+    c = reduce_cmir(C, 3, *box(t, s))
     assert weaken(weaken(c, 1, t.variables), 2, t.variables) == w
 
 
 def test_cmir_dominates_wmir_pointwise():
     C, t = _pipeline_two()
     s = t.current_state
-    w = reduce_wmir(C, 3, t, s)
-    c = reduce_cmir(C, 3, t, s)
+    w = reduce_wmir(C, 3, *box(t, s))
+    c = reduce_cmir(C, 3, *box(t, s))
     for p in binary_points(4):
         if evaluate(c, list(p)).satisfied:
             assert evaluate(w, list(p)).satisfied
@@ -308,7 +308,7 @@ def _witness_setup():
     C = mk({0: 6, 1: -6, 2: 4, 3: 3, 4: 6}, 8)
     t = Trail(vs)
     t.push_decision(0, BoundKind.UPPER, 0)
-    result = propagate_candidates(C, t)
+    result = propagate_candidates(C, *box(t))
     cand = next(c for c in result.changes if c.var == 1)
     assert (cand.kind, cand.value, cand.pre_rounding) == (
         BoundKind.UPPER,
@@ -323,8 +323,8 @@ def _witness_setup():
 def test_rounding_reduction_beats_tightening_on_a_point():
     C, Cc, t = _witness_setup()
     s = t.current_state
-    cm = reduce_cmir(C, 1, t, s)
-    ct = reduce_coeftight(C, Cc, 1, t, s)
+    cm = reduce_cmir(C, 1, *box(t, s))
+    ct = reduce_coeftight(C, Cc, 1, *box(t, s))
     assert cm == mk({0: 1, 1: -1, 4: 1}, 1)
     assert ct == mk({0: 1, 1: -1}, 0)
     origin = [F(0)] * 6
@@ -347,9 +347,9 @@ def test_reduction_rejects_tight_reason():
     t.push_decision(0, BoundKind.UPPER, 0)
     # C propagates x2 >= 1 with integral pre-rounding: nothing to reduce
     with pytest.raises(ReductionError):
-        reduce_cmir(C, 1, t, t.current_state)
+        reduce_cmir(C, 1, *box(t))
     with pytest.raises(ReductionError):
-        reduce_wmir(C, 1, t, t.current_state)
+        reduce_wmir(C, 1, *box(t))
 
 
 def test_reduction_rejects_non_binary_support():
@@ -360,7 +360,7 @@ def test_reduction_rejects_non_binary_support():
     C = mk({0: F(1), 1: F(3, 2)}, F(3, 2))
     t = Trail(vs)
     with pytest.raises(ReductionError):
-        reduce_cmir(C, 1, t, t.current_state)
+        reduce_cmir(C, 1, *box(t))
 
 
 def test_coeftight_returns_input_when_resolvent_already_infeasible():
@@ -370,7 +370,7 @@ def test_coeftight_returns_input_when_resolvent_already_infeasible():
     t = Trail(vs)
     t.push_decision(0, BoundKind.UPPER, 0)
     # resolve gives x1 >= 1, infeasible under x1 <= 0: nothing to do
-    assert reduce_coeftight(Cr, Cc, 1, t, t.current_state) == Cr
+    assert reduce_coeftight(Cr, Cc, 1, *box(t)) == Cr
 
 
 # -- differential test against the earlier reductions ------------------------
@@ -485,15 +485,15 @@ def test_reductions_match_reference(case):
     reason, confl, r, t = case
     s = t.current_state
     pairs = [
-        (reduce_clause, ref.reduce_clause, (reason, r, t, s)),
-        (reduce_coeftight, ref.reduce_coeftight, (reason, confl, r, t, s)),
-        (reduce_cmir, ref.reduce_cmir, (reason, r, t, s)),
-        (reduce_wmir, ref.reduce_wmir, (reason, r, t, s)),
-        (resolve_general_integer, ref.resolve_general_integer, (reason, confl, r, t, s)),
+        (reduce_clause, ref.reduce_clause, (reason, r)),
+        (reduce_coeftight, ref.reduce_coeftight, (reason, confl, r)),
+        (reduce_cmir, ref.reduce_cmir, (reason, r)),
+        (reduce_wmir, ref.reduce_wmir, (reason, r)),
+        (resolve_general_integer, ref.resolve_general_integer, (reason, confl, r)),
     ]
     for new, old, args in pairs:
-        got = _reduction_outcome(new, *args)
-        want = _reduction_outcome(old, *args)
+        got = _reduction_outcome(new, *args, *box(t, s))
+        want = _reduction_outcome(old, *args, t, s)
         if want[0] is ValueError and got[0] is ReductionError:
             # the reference complemented before it checked the support
             assert "cannot complement" in want[1]

@@ -38,11 +38,10 @@ from cutlearn.trail import (
     Trail,
     activity,
     activity_bounds_max,
-    max_activity,
     residual,
 )
 
-from conftest import F, binary_vars, ext_add, ext_mul, mk
+from conftest import F, binary_vars, box, ext_add, ext_mul, max_activity, mk
 
 coefs = st.integers(min_value=-4, max_value=4)
 
@@ -89,7 +88,7 @@ def test_single_row_candidates_and_rounding():
     t = Trail(vs)
     # 2z + y >= 4 with y <= 1 forces z >= 3/2, rounded up to 2
     C = mk({0: 2, 1: 1}, 4)
-    res = propagate_candidates(C, t)
+    res = propagate_candidates(C, *box(t))
     assert not res.conflict
     (cand,) = res.changes
     assert (cand.var, cand.kind, cand.value) == (0, BoundKind.LOWER, F(2))
@@ -109,7 +108,7 @@ def test_residual_max_handles_infinite_bounds():
     assert residual(finite, infinite, contribs[0]) == 1
     assert residual(finite, infinite, contribs[1]) is None
     # the unbounded variable yields no candidate for x, but does for y
-    res = propagate_candidates(C, t)
+    res = propagate_candidates(C, *box(t))
     (cand,) = res.changes
     assert cand.var == 0 and cand.kind is BoundKind.LOWER and cand.value == -1
 
@@ -164,7 +163,7 @@ def test_disjunction_unit_rule():
     assert res.change == (1, BoundKind.LOWER, F(1))
     t.push_decision(1, BoundKind.UPPER, 0)
     assert propagate_disjunction(D, t).conflict
-    t.backjump(t.states()[0])
+    t.backjump(t.changes[0].state)
     t.push_decision(1, BoundKind.LOWER, 1)
     # one atom already holds: satisfied, no propagation
     res = propagate_disjunction(D, t)
@@ -231,10 +230,10 @@ def test_is_tight_propagation():
 def test_max_activity_drops_below_rhs_exactly_on_conflict():
     t = Trail(binary_vars(2))
     C = mk({0: 1, 1: 1}, 2)
-    assert not propagate_candidates(C, t).conflict
+    assert not propagate_candidates(C, *box(t)).conflict
     t.push_decision(0, BoundKind.UPPER, 0)
     assert max_activity(C, t) < C.rhs
-    assert propagate_candidates(C, t).conflict
+    assert propagate_candidates(C, *box(t)).conflict
 
 
 # -- stable-row skip -----------------------------------------------------------
@@ -250,7 +249,7 @@ def reference_fixpoint(trail, rows, disjunctions=(), max_rounds=200):
         rounds += 1
         for i, row in enumerate(rows):
             while True:
-                result = propagate_candidates(row, trail)
+                result = propagate_candidates(row, *box(trail))
                 if result.conflict:
                     return FixpointResult(
                         True, ("row", i), trail.current_state, num_changes
@@ -358,7 +357,7 @@ def test_stable_row_skip_matches_plain_round_robin(variables, data):
             ref.push_decision(*decision)
             continue
         if step == "backjump":
-            target = data.draw(st.sampled_from([INITIAL_STATE] + fast.states()))
+            target = data.draw(st.sampled_from([INITIAL_STATE] + [ch.state for ch in fast.changes]))
             fast.backjump(target)
             ref.backjump(target)
             assert fast.changes == ref.changes
@@ -498,9 +497,9 @@ def test_candidates_match_quadratic_reference(case, data):
         decision = draw_decision(data, t)
         if decision is not None:
             t.push_decision(*decision)
-    for state in [None, INITIAL_STATE] + t.states():
-        assert propagate_candidates(C, t, state) == reference_candidates(C, t, state)
-        lb, ub = (t.local_lb, t.local_ub) if state is None else t.bounds_at(state)
+    for state in [None, INITIAL_STATE] + [ch.state for ch in t.changes]:
+        variables, lb, ub = box(t, state)
+        assert propagate_candidates(C, variables, lb, ub) == reference_candidates(C, t, state)
         finite, infinite, contribs = activity(C, lb, ub)
         assert infinite == infinite_contributions(C, lb, ub)
         assert activity_bounds_max(C, lb, ub) == (INF if infinite else finite)

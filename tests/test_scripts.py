@@ -8,6 +8,7 @@ instances, and ``bench_pairs`` runs the benchmark briefly.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,13 @@ def _load(name):
     ],
     ids=["two_phase_experiment", "validate_random", "transcript"],
 )
-def test_script_main_succeeds(name, argv):
+def test_script_main_succeeds(name, argv, capsys):
     assert _load(name).main(argv) == 0
+    if name == "transcript":
+        # PHP(4, 3)'s reasons all propagate tightly.
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"analyze steps( [a-z-]+=\d+)+ results( [a-z_]+=\d+)+", last)
+        assert " tight=" in last
 
 
 def test_bench_pairs_smoke(capsys):

@@ -25,6 +25,7 @@ from cutlearn.oracle import oracle_optimum, validate_learned
 from cutlearn.rationals import INF, NEG_INF
 from cutlearn.search import (
     SolverConfig,
+    SolverError,
     parse_learned_line,
     read_learned_file,
     run_two_phase,
@@ -347,10 +348,24 @@ def test_conflict_limit_bounds_the_analyses():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node limit must be positive$"):
         SolverConfig(node_limit=0)
+    with pytest.raises(ValueError, match="^conflict limit must be 0 or more$"):
+        SolverConfig(conflict_limit=-1)
+    SolverConfig(conflict_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(mode="bogus")
+
+
+def test_unbounded_continuous_objective_raises():
+    """min y subject to x - y >= 0 with y free: y falls without limit."""
+    vs = [
+        Variable(0, "x", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "y", VarKind.CONTINUOUS, NEG_INF, INF),
+    ]
+    problem = build_problem(vs, [({0: F(1), 1: F(-1)}, ">=", F(0))], {1: F(1)})
+    with pytest.raises(SolverError, match="^continuous objective part unbounded below$"):
+        solve(problem)
 
 
 # -- learned-object files -----------------------------------------------------

@@ -10,11 +10,9 @@ from cutlearn.trail import (
     RowReason,
     StateId,
     Trail,
-    infeasible_at,
-    max_activity,
 )
 
-from conftest import F, binary_vars, mk
+from conftest import F, binary_vars, infeasible_at, max_activity, mk
 
 
 def test_state_ids_order_lexicographically():
