@@ -10,8 +10,12 @@ pair gets a fresh seed (11, 12, ...).  Every run is printed with its
 every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` lists, come both
 sides' medians and quartiles, the pairs the change wins (a tie counts for
 neither side) and the relative change of the median next to the metric's
-``bound``.  The last line of standard output is all of it as one JSON
-object.  The exit status is 1 if any run was not correct.
+``bound``.  With ``--claim METRIC`` one verdict line follows: the claim
+is met iff the change wins at least 9 of every 10 pairs on METRIC and its
+median is better than the parent's by more than the parent's interquartile
+range.  The last line of standard output is all of it as one JSON object,
+the verdict under ``claim``.  The exit status is 1 if any run was not
+correct.
 """
 
 from __future__ import annotations
@@ -76,6 +80,23 @@ def summarize(metric: dict, runs: dict) -> dict:
     return out
 
 
+def claim_verdict(metric: dict, s: dict) -> dict:
+    """Whether the change improves ``metric``, given its ``summarize``
+    entry: it wins at least 9/10 of the pairs, and its median is better than
+    the parent's by more than the parent's interquartile range."""
+    gap = s["parent"]["median"] - s["change"]["median"]
+    if metric["better"] != "lower":
+        gap = -gap
+    return {
+        "metric": metric["name"],
+        "change_wins": s["change_wins"],
+        "pairs": s["pairs"],
+        "median_gap": gap,
+        "parent_iqr": s["parent_iqr"],
+        "met": 10 * s["change_wins"] >= 9 * s["pairs"] and gap > s["parent_iqr"],
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -83,10 +104,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=55)
+    ap.add_argument("--claim", metavar="METRIC",
+                    help="end-to-end metric the change claims to improve")
     args = ap.parse_args(argv)
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     end_to_end = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    claimed = next((m for m in end_to_end if m["name"] == args.claim), None)
+    if args.claim is not None and claimed is None:
+        ap.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
     runs = {side: [] for side in SIDES}
     for k in range(args.pairs):
         seed = FIRST_SEED + k
@@ -119,9 +145,22 @@ def main(argv=None) -> int:
             )
     else:
         print("a run was not correct; no summary", file=sys.stderr)
+    claim = None
+    if args.claim is not None:
+        if ok:
+            claim = claim_verdict(claimed, summary[args.claim])
+            print(
+                f"claim {args.claim}: {'MET' if claim['met'] else 'NOT MET'}"
+                f"  change wins {claim['change_wins']}/{claim['pairs']} (needs 9/10)"
+                f"  median gap {claim['median_gap']:.6g}"
+                f" against parent IQR {claim['parent_iqr']:.6g}"
+            )
+        else:
+            claim = {"metric": args.claim, "met": False}
+            print(f"claim {args.claim}: NOT MET  a run was not correct")
     print(json.dumps({
         "workload": args.workload, "seconds": args.seconds, "correct": ok,
-        "runs": runs, "summary": summary,
+        "runs": runs, "summary": summary, "claim": claim,
     }))
     return 0 if ok else 1
 

@@ -17,7 +17,6 @@ from .search import (
     SolverError,
     run_two_phase,
     solve,
-    write_learned_file,
 )
 
 EXIT_OK = 0
@@ -89,7 +88,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     check.add_argument("file")
     two = subs.add_parser("twophase")
     _add_solver_flags(two)
-    two.add_argument("--out-learned", default=None)
 
     try:
         args = parser.parse_args(argv)
@@ -161,11 +159,9 @@ def _cmd_check(problem: Problem) -> int:
 
 
 def _cmd_twophase(problem: Problem, config: SolverConfig, args) -> int:
-    r1, r2, objects = run_two_phase(problem, config)
+    r1, r2, _ = run_two_phase(problem, config)
     print("phase1 " + emit_result_stats(r1))
     print("phase2 " + emit_result_stats(r2))
-    if args.out_learned and not _save(write_learned_file, args.out_learned, objects):
-        return EXIT_INPUT_ERROR
     if args.stats_json and not _save(_write_stats, args.stats_json, r2):
         return EXIT_INPUT_ERROR
     if r1.status == "limit" or r2.status == "limit":

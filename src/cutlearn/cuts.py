@@ -101,19 +101,21 @@ def coef_tighten(
     if not is_finite(minact):
         return C
     btilde = C.rhs - minact
-    terms = C.as_dict()
+    clipped = {}
     rhs = C.rhs
     for j, a in C.terms:
         v = variables[j]
         if not v.is_integral:
             continue
         if a > btilde:
-            terms[j] = btilde
+            clipped[j] = btilde
             rhs -= (a - btilde) * v.global_lb
         elif a < -btilde:
-            terms[j] = -btilde
+            clipped[j] = -btilde
             rhs -= (a + btilde) * v.global_ub
-    return LinearConstraint.from_dict(terms, rhs, "derived")
+    if not clipped:
+        return LinearConstraint(C.terms, C.rhs, "derived")
+    return LinearConstraint.from_dict({**C.as_dict(), **clipped}, rhs, "derived")
 
 
 def cg_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:

@@ -1,7 +1,10 @@
 """Problem representation: variables, exact-rational linear constraints, objective.
 
 All stored constraints are ">=" rows.  Inputs in "<=" or "=" form are
-canonicalized at build time.
+canonicalized at build time.  A row's ``int_scaled`` form is the row times
+the lcm of its denominators, with ``int`` coefficients and rhs; scaling a
+">=" row by a positive number changes neither its feasible set nor any
+comparison of activities with its rhs.
 """
 
 from __future__ import annotations
@@ -121,6 +124,16 @@ class LinearConstraint:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
+    def int_scaled(self) -> Tuple[int, Tuple[Tuple[int, int], ...], int]:
+        """``(scale, terms, rhs)``: the row times ``scale``, the lcm of its
+        coefficient and rhs denominators, so every coefficient and the rhs
+        are ``int``.  Scaling by a positive number keeps the row's feasible
+        set, and any comparison of two activities, or of one with the rhs,
+        comes out the same on the scaled row."""
+        scale = math.lcm(self.rhs.denominator, *(c.denominator for _, c in self.terms))
+        terms = tuple((j, c.numerator * (scale // c.denominator)) for j, c in self.terms)
+        return scale, terms, self.rhs.numerator * (scale // self.rhs.denominator)
+
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -164,15 +177,8 @@ class LinearConstraint:
         """Scale so coefficients are integers with gcd 1 (rhs follows along)."""
         if not self.terms:
             return self
-        denom_lcm = 1
-        for _, c in self.terms:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        nums = [c.numerator * (denom_lcm // c.denominator) for _, c in self.terms]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, abs(n))
-        factor = Fraction(denom_lcm, g)
-        return self.scaled(factor)
+        scale, terms, _ = self.int_scaled()
+        return self.scaled(Fraction(scale, math.gcd(*(a for _, a in terms))))
 
     def __str__(self) -> str:
         parts = []

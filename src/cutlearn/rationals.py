@@ -7,10 +7,11 @@ That holds because every other float is refused where values enter the
 model: ``Variable`` refuses finite float bounds and empty domains, and rows
 (``LinearConstraint.from_dict``, ``build_problem``), objectives and bound
 atoms refuse every float, infinite ones included.  ``Trail`` stores every
-pushed value as a ``Fraction``.  No code adds, subtracts or multiplies an
-infinity: it only compares one or tests it with ``is_finite``, and every
-subtraction or product on a bound is guarded by ``is_finite``.  So
-``inf - inf`` and ``0 * inf`` never arise.
+pushed value as a ``Fraction``; ``int_if_integral`` reads an integral one
+as an ``int``, so sums over integral data can run in ``int`` arithmetic.
+No code adds, subtracts or multiplies an infinity: it only compares one or
+tests it with ``is_finite``, and every subtraction or product on a bound is
+guarded by ``is_finite``.  So ``inf - inf`` and ``0 * inf`` never arise.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def is_inf(x: Ext) -> bool:
 
 def is_finite(x: Ext) -> bool:
     return not isinstance(x, float)
+
+
+def int_if_integral(a: Rat) -> Rat:
+    """A finite value as an ``int`` when its denominator is 1, else as is."""
+    return a.numerator if a.denominator == 1 else a
 
 
 def frac_floor(a: Rat) -> Rat:

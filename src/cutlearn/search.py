@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .conflict import AnalysisResult, analyze, graph_fallback
 from .cuts import ReductionStrategy
 from .model import (
-    BoundAtom,
     BoundDisjunction,
     BoundKind,
     LearnedObject,
@@ -38,7 +37,6 @@ from .rationals import (
     frac_floor,
     is_finite,
     is_integral,
-    parse_rational,
 )
 from .trail import DisjunctionReason, RowReason, StateId, Trail
 
@@ -249,7 +247,7 @@ def _leaf_continuous(
     return value, assignment
 
 
-# -- learned-object files ------------------------------------------------------
+# -- learned-object text -----------------------------------------------------
 
 
 def serialize_learned(obj: LearnedObject) -> str:
@@ -261,49 +259,6 @@ def serialize_learned(obj: LearnedObject) -> str:
         op = ">=" if a.kind is BoundKind.LOWER else "<="
         parts.append(f"{a.var}{op}{format_rational(a.value)}")
     return " ".join(["dis"] + parts)
-
-
-def parse_learned_line(line: str) -> LearnedObject:
-    fields = line.split()
-    if not fields:
-        raise ValueError("empty learned-object line")
-    if fields[0] == "lin":
-        rhs = parse_rational(fields[1])
-        terms = {}
-        for tok in fields[2:]:
-            var_s, coef_s = tok.split(":", 1)
-            terms[int(var_s)] = parse_rational(coef_s)
-        return LinearConstraint.from_dict(terms, rhs, "learned:file")
-    if fields[0] == "dis":
-        atoms = []
-        for tok in fields[1:]:
-            if ">=" in tok:
-                var_s, val_s = tok.split(">=", 1)
-                kind = BoundKind.LOWER
-            elif "<=" in tok:
-                var_s, val_s = tok.split("<=", 1)
-                kind = BoundKind.UPPER
-            else:
-                raise ValueError(f"bad atom {tok!r}")
-            atoms.append(BoundAtom(int(var_s), kind, parse_rational(val_s)))
-        return BoundDisjunction(tuple(atoms), "learned:file")
-    raise ValueError(f"unknown learned-object tag {fields[0]!r}")
-
-
-def write_learned_file(path: str, objects: Sequence[LearnedObject]) -> None:
-    with open(path, "w") as fh:
-        for obj in objects:
-            fh.write(serialize_learned(obj) + "\n")
-
-
-def read_learned_file(path: str) -> List[LearnedObject]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_learned_line(line))
-    return out
 
 
 # -- solver --------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .rationals import (
     Rat,
     ZERO,
     format_ext,
+    int_if_integral,
     is_finite,
     is_integral,
 )
@@ -282,12 +283,17 @@ def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
 
 
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    """C's min activity at the global bounds, in one pass over its terms."""
-    total = ZERO
-    for j, a in C.terms:
+    """C's min activity at the global bounds, in one pass over its terms.
+
+    The sum runs on C's integer-scaled row with integral bounds read as
+    ``int``, and is divided by the scale once at the end.
+    """
+    scale, terms, _ = C.int_scaled()
+    total = 0
+    for j, a in terms:
         v = variables[j]
         bound = v.global_lb if a > 0 else v.global_ub
         if not is_finite(bound):
             return NEG_INF
-        total += a * bound
-    return total
+        total += a * int_if_integral(bound)
+    return Fraction(total, scale)

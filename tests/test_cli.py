@@ -154,16 +154,14 @@ def test_check_infeasible(tmp_path, capsys):
     assert "solver=infeasible" in out and "AGREE" in out
 
 
-def test_twophase_writes_learned_file(tmp_path, capsys):
+def test_twophase_prints_both_phases(tmp_path, capsys):
     path = _write(tmp_path, "p.txt", print_native(random_mbp_problem(52)))
-    learned = str(tmp_path / "learned.txt")
-    assert main(["twophase", path, "--out-learned", learned]) == EXIT_OK
+    assert main(["twophase", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("phase1 ") and "phase2 " in out
     for line in out.splitlines():
         tag, payload = line.split(" ", 1)
         json.loads(payload)
-    assert open(learned).read().strip()
 
 
 def test_bad_input_paths(tmp_path, capsys):
@@ -183,7 +181,6 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     for argv in (
         ["solve", path, "--stats-json", missing],
         ["twophase", path, "--stats-json", missing],
-        ["twophase", path, "--out-learned", missing],
     ):
         assert main(argv) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err

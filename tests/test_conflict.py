@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cutlearn.conflict import (
     EarlierConflict,
+    _ActivityWalk,
     _strengthen,
     analyze,
     graph_fallback,
@@ -233,15 +234,15 @@ def _trail_and_row(draw):
             for i in range(n)
         ]
     support = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    magnitude = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    magnitude = F(draw(st.integers(1, 6)), draw(st.integers(1, 7)))
 
     def coef():
         if tied:
             return magnitude * draw(st.sampled_from([-1, 1]))
-        return F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
+        return F(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 7)))
 
     coefs = {j: coef() for j in support}
-    C = mk(coefs, F(draw(st.integers(-12, 12)), draw(st.integers(1, 3))))
+    C = mk(coefs, F(draw(st.integers(-12, 12)), draw(st.integers(1, 7))))
     t = Trail(vs)
     reason = RowReason(0, C)
     for _ in range(draw(st.integers(0, 30))):
@@ -289,6 +290,75 @@ def test_state_queries_match_reference(case):
     assert min_infeasible_state(C, t) == _reference_min_infeasible_state(C, t)
     assert is_asserting(C, t, level) == _reference_is_asserting(C, t, level)
     assert is_asserting(C, t) == _reference_is_asserting(C, t)
+
+
+@st.composite
+def _continuous_trail_and_row(draw):
+    """A row with coefficient and rhs denominators among the coprime 2, 3
+    and 5 over continuous variables with fractional bounds, and binaries
+    that open the decision levels: the walk's scale is up to 30, and its
+    sums stay Fractions."""
+    n = draw(st.integers(1, 4))
+    vs = []
+    for i in range(n):
+        lb = F(draw(st.integers(-9, 9)), draw(st.sampled_from([2, 3, 5, 7])))
+        ub = lb + F(draw(st.integers(1, 12)), 4)
+        vs.append(Variable(i, f"c{i}", VarKind.CONTINUOUS, lb, ub))
+    vs += [Variable(n + i, f"b{i}", VarKind.BINARY, F(0), F(1)) for i in range(2)]
+    denominator = st.sampled_from([2, 3, 5])
+    support = range(n + draw(st.integers(0, 2)))
+    coefs = {j: F(draw(st.integers(-6, 6).filter(bool)), draw(denominator)) for j in support}
+    C = mk(coefs, F(draw(st.integers(-12, 12)), draw(denominator)))
+    t = Trail(vs)
+    reason = RowReason(0, C)
+    for _ in range(draw(st.integers(0, 12))):
+        j = draw(st.integers(0, n + 1))
+        lo, hi = t.local_lb[j], t.local_ub[j]
+        if j >= n:
+            if lo != hi:
+                kind = draw(st.sampled_from(list(BoundKind)))
+                t.push_decision(j, kind, hi if kind is BoundKind.LOWER else lo)
+            continue
+        # A point strictly inside the domain tightens either bound.
+        value = lo + (hi - lo) * F(draw(st.integers(1, 4)), 5)
+        t.push_deduction(j, draw(st.sampled_from(list(BoundKind))), value, reason)
+    level = draw(st.integers(0, t.current_level + 1))
+    return C, t, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(_continuous_trail_and_row())
+def test_state_queries_match_reference_on_fractional_continuous_rows(case):
+    C, t, level = case
+    assert min_infeasible_state(C, t) == _reference_min_infeasible_state(C, t)
+    assert is_asserting(C, t, level) == _reference_is_asserting(C, t, level)
+    assert is_asserting(C, t) == _reference_is_asserting(C, t)
+
+
+def test_walk_keeps_ints_on_an_integral_row():
+    """An integral row over integral bounds: the walk's rhs, max activity,
+    top and bottom contributions and widest span stay ints."""
+    vs = [
+        Variable(0, "b", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "i", VarKind.INTEGER, F(-3), F(4)),
+        Variable(2, "j", VarKind.INTEGER, NEG_INF, F(5)),
+    ]
+    C = mk({0: 2, 1: -3, 2: 1}, -4)
+    t = Trail(vs)
+    t.push_decision(0, BoundKind.LOWER, 1)
+    t.push_deduction(1, BoundKind.UPPER, 2, RowReason(0, C))
+    t.push_deduction(2, BoundKind.LOWER, -1, RowReason(0, C))
+    t.push_deduction(1, BoundKind.LOWER, 0, RowReason(0, C))
+    walk = _ActivityWalk(C, vs, bottoms=True)
+    for ch in [None] + t.changes:
+        if ch is not None:
+            assert walk.apply(ch)
+        walk.propagates()
+        values = [walk.rhs, walk.finite, *walk.top.values(), *walk.bottom.values()]
+        if walk.span is not None and is_finite(walk.span):
+            values.append(walk.span)
+        assert all(type(x) is int for x in values if x is not None), values
+    assert walk.bottom[2] == -1 and walk.span is not None
 
 
 # -- mixed-binary regression --------------------------------------------------
@@ -552,6 +622,16 @@ def _row_and_variables(draw):
         # An rhs just above the min activity leaves large coefficients to clip.
         C = mk(coefs, minact + F(draw(st.integers(1, 6)), 2))
     return C, vs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_and_variables())
+def test_global_min_activity_is_the_fraction_sum(case):
+    C, vs = case
+    total = ZERO
+    for j, a in C.terms:
+        total = ext_add(total, ext_mul(a, vs[j].global_lb if a > 0 else vs[j].global_ub))
+    assert global_min_activity(C, vs) == total
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Constraint canonical form, normalization round trips, problem building."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,34 @@ def test_canonical_scale():
     assert scaled.terms == ((0, F(1)), (1, F(-2)))
     assert scaled.rhs == F(1, 4)
     assert scaled.canonical_scale() == scaled
+
+
+def test_int_scaled():
+    C = LinearConstraint.from_dict({0: F(1, 2), 1: F(-2, 3)}, F(1, 5))
+    assert C.int_scaled() == (30, ((0, 15), (1, -20)), 6)
+    scale, terms, rhs = mk({0: 2, 3: -1}, -4).int_scaled()
+    assert (scale, terms, rhs) == (1, ((0, 2), (3, -1)), -4)
+    assert all(type(a) is int for _, a in terms) and type(rhs) is int
+
+
+@given(st.dictionaries(st.integers(0, 6), coefs.filter(bool), max_size=5), coefs)
+def test_int_scaled_is_the_row_times_its_scale(terms, rhs):
+    C = LinearConstraint.from_dict(terms, rhs)
+    scale, int_terms, int_rhs = C.int_scaled()
+    scaled = C.scaled(scale)
+    assert int_terms == scaled.terms and int_rhs == scaled.rhs
+    assert all(type(a) is int for _, a in int_terms) and type(int_rhs) is int
+    # The smallest such scale: the lcm of the denominators.
+    for p in range(2, 8):
+        if scale % p == 0:
+            smaller = C.scaled(Fraction(scale, p))
+            values = [a for _, a in smaller.terms] + [smaller.rhs]
+            assert any(v.denominator != 1 for v in values)
+    if C.terms:
+        canon = C.canonical_scale()
+        assert canon == C.scaled(canon.terms[0][1] / C.terms[0][1])
+        assert all(a.denominator == 1 for _, a in canon.terms)
+        assert math.gcd(*(a.numerator for _, a in canon.terms)) == 1
 
 
 def test_combined_requires_positive_multiplier():

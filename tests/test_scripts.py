@@ -47,14 +47,47 @@ def test_script_main_succeeds(name, argv, capsys):
 
 def test_bench_pairs_smoke(capsys):
     """One short pair with the repository as both sides: every run is
-    correct, and the summary covers every end-to-end metric."""
+    correct, the summary covers every end-to-end metric, and a claim on
+    ``nodes``, which ties, is not met."""
     root = str(SCRIPTS.parent)
-    argv = [root, root, "--workload", "pigeonhole", "--pairs", "1", "--seconds", "0.2"]
+    argv = [root, root, "--workload", "pigeonhole", "--pairs", "1", "--seconds", "0.2",
+            "--claim", "nodes"]
     assert _load("bench_pairs").main(argv) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("claim nodes: NOT MET  change wins 0/1 (needs 9/10)")
+    result = json.loads(lines[-1])
+    assert result["claim"]["metric"] == "nodes" and not result["claim"]["met"]
     assert result["correct"]
     assert [r["side"] for r in result["runs"]["parent"]] == ["parent"]
     benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
     assert set(result["summary"]) == {m["name"] for m in benchmark["end_to_end"]}
     assert result["summary"]["nodes"]["parent"]["median"] == 72
     assert result["summary"]["nodes"]["change_wins"] == 0
+
+
+def _summary(parent, change):
+    bench_pairs = _load("bench_pairs")
+    runs = {
+        side: [{"metrics": {"wall_s": {"value": v}}} for v in values]
+        for side, values in (("parent", parent), ("change", change))
+    }
+    return bench_pairs, bench_pairs.summarize(
+        {"name": "wall_s", "better": "lower", "bound": 0.24}, runs
+    )
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        ([0.8] * 9 + [1.2], True),  # wins 9/10, gap 0.2 > IQR 0.15
+        ([0.8] * 8 + [1.2] * 2, False),  # wins 8/10
+        ([0.88] * 10, False),  # wins 10/10, gap 0.12 < IQR 0.15
+    ],
+)
+def test_bench_pairs_claim_rule(change, met):
+    """The claim rule: at least 9/10 pair wins and a median gap wider than
+    the parent's interquartile range [0.925, 1.075]."""
+    parent = [0.9] * 3 + [1.0] * 4 + [1.1] * 3
+    bench_pairs, summary = _summary(parent, change)
+    verdict = bench_pairs.claim_verdict({"name": "wall_s", "better": "lower"}, summary)
+    assert verdict["met"] is met

@@ -19,20 +19,17 @@ from cutlearn.model import (
     VarKind,
     Variable,
     build_problem,
-    evaluate,
+    violation,
 )
 from cutlearn.oracle import oracle_optimum, validate_learned
 from cutlearn.rationals import INF, NEG_INF
 from cutlearn.search import (
     SolverConfig,
     SolverError,
-    parse_learned_line,
-    read_learned_file,
     run_two_phase,
     select_branching,
     serialize_learned,
     solve,
-    write_learned_file,
 )
 from cutlearn.trail import Trail
 
@@ -50,9 +47,7 @@ def assert_agrees_with_oracle(problem, result):
             assert result.objective is None  # feasibility question only
         else:
             assert result.objective == truth.value
-        w = list(result.witness)
-        for C in problem.constraints:
-            assert evaluate(C, w).satisfied
+        assert violation(problem, result.witness) is None
 
 
 # -- agreement sweeps ---------------------------------------------------------
@@ -113,8 +108,7 @@ def test_solve_without_objective_stops_at_first_leaf():
     problem = binary_problem(3, [({0: 1, 1: 1, 2: 1}, 2)])
     result = solve(problem)
     assert result.status == "optimal" and result.objective is None
-    w = list(result.witness)
-    assert evaluate(problem.constraints[0], w).satisfied
+    assert violation(problem, result.witness) is None
 
 
 def test_infeasible_without_objective():
@@ -230,8 +224,7 @@ def test_unbounded_integer_solves_to_known_optimum(model, strategy):
         run_two_phase(problem, SolverConfig(strategy=strategy))[1],
     ):
         assert result.status == "optimal" and result.objective == optimum
-        for C in problem.constraints:
-            assert evaluate(C, list(result.witness)).satisfied
+        assert violation(problem, result.witness) is None
 
 
 # -- objective cutoff ----------------------------------------------------------
@@ -368,35 +361,25 @@ def test_unbounded_continuous_objective_raises():
         solve(problem)
 
 
-# -- learned-object files -----------------------------------------------------
+# -- learned objects ----------------------------------------------------------
 
 
-def test_learned_line_roundtrip():
+def test_serialize_learned():
     row = LinearConstraint.from_dict({0: F(3, 2), 2: F(-1)}, F(1, 4), "learned:x")
-    assert parse_learned_line(serialize_learned(row)) == row
+    assert serialize_learned(row) == "lin 1/4 0:3/2 2:-1"
     dis = BoundDisjunction(
         (
             BoundAtom(0, BoundKind.LOWER, F(2)),
             BoundAtom(1, BoundKind.UPPER, F(-1, 2)),
         )
     )
-    back = parse_learned_line(serialize_learned(dis))
-    assert back.atoms == dis.atoms
-    with pytest.raises(ValueError):
-        parse_learned_line("zzz 1 2")
-    with pytest.raises(ValueError):
-        parse_learned_line("")
+    assert serialize_learned(dis) == "dis 0>=2 1<=-1/2"
 
 
-def test_learned_file_roundtrip(tmp_path):
+def test_learned_objects_seed_an_exploitation_run():
     problem = random_mbp_problem(52)
     result = solve(problem)
     assert result.learned
-    path = str(tmp_path / "learned.txt")
-    write_learned_file(path, result.learned)
-    back = read_learned_file(path)
-    assert list(result.learned) == back
-    # and the objects can seed an exploitation run
-    cfg = SolverConfig(conflict_limit=0, initial_learned=tuple(back))
+    cfg = SolverConfig(conflict_limit=0, initial_learned=tuple(result.learned))
     again = solve(problem, cfg)
     assert_agrees_with_oracle(problem, again)
