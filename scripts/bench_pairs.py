@@ -10,12 +10,15 @@ pair gets a fresh seed (11, 12, ...).  Every run is printed with its
 every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` lists, come both
 sides' medians and quartiles, the pairs the change wins (a tie counts for
 neither side) and the relative change of the median next to the metric's
-``bound``.  With ``--claim METRIC`` one verdict line follows: the claim
-is met iff the change wins at least 9 of every 10 pairs on METRIC and its
-median is better than the parent's by more than the parent's interquartile
-range.  The last line of standard output is all of it as one JSON object,
-the verdict under ``claim``.  The exit status is 1 if any run was not
-correct.
+``bound``, and one line that names the metrics whose median is worse than
+the parent's by more than their bound (``over bound: none`` if there are
+none).  With ``--claim METRIC`` one verdict line follows: the claim is met
+iff the change wins at least 9 of every 10 pairs on METRIC and its median
+is better than the parent's by more than the parent's interquartile range.
+The last line of standard output is all of it as one JSON object, the
+metrics over their bound under ``over_bound`` and the verdict under
+``claim``.  The exit status is 1 if any run was not correct or any metric
+is over its bound.
 """
 
 from __future__ import annotations
@@ -132,6 +135,7 @@ def main(argv=None) -> int:
 
     ok = all(r["correct"] for side in SIDES for r in runs[side])
     summary = {}
+    over = []
     if ok:
         for metric in end_to_end:
             s = summary[metric["name"]] = summarize(metric, runs)
@@ -143,6 +147,8 @@ def main(argv=None) -> int:
                 f"  {s['median_change_rel']:+.1%} (bound {s['bound']:.0%})"
                 + ("  OVER BOUND" if s["over_bound"] else "")
             )
+        over = [name for name, s in summary.items() if s["over_bound"]]
+        print(f"over bound: {', '.join(over) or 'none'}")
     else:
         print("a run was not correct; no summary", file=sys.stderr)
     claim = None
@@ -160,9 +166,9 @@ def main(argv=None) -> int:
             print(f"claim {args.claim}: NOT MET  a run was not correct")
     print(json.dumps({
         "workload": args.workload, "seconds": args.seconds, "correct": ok,
-        "runs": runs, "summary": summary, "claim": claim,
+        "runs": runs, "summary": summary, "over_bound": over, "claim": claim,
     }))
-    return 0 if ok else 1
+    return 0 if ok and not over else 1
 
 
 if __name__ == "__main__":

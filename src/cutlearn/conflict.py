@@ -351,7 +351,7 @@ def analyze(
         if asserting_at is not None:
             return result(
                 "learned",
-                learned=_with_origin(C_learn, strategy),
+                learned=C_learn.with_origin(f"learned:{strategy.value}"),
                 backjump_target=asserting_at,
                 conflicting_state=s,
             )
@@ -421,10 +421,6 @@ def _strengthen(C: LinearConstraint, variables: Sequence[Variable]) -> LinearCon
         return coef_tighten(C, variables)
     except CutError:
         return C
-
-
-def _with_origin(C: LinearConstraint, strategy: ReductionStrategy) -> LinearConstraint:
-    return LinearConstraint(C.terms, C.rhs, f"learned:{strategy.value}")
 
 
 # -- graph fallback -----------------------------------------------------------
@@ -565,7 +561,7 @@ def graph_fallback(
             [a.var for a in atoms if a.kind is BoundKind.UPPER],
             variables,
         )
-        learned = LinearConstraint(clause.terms, clause.rhs, "learned:graph")
+        learned = clause.with_origin("learned:graph")
     else:
         learned = BoundDisjunction(tuple(atoms), "learned:graph")
     return AnalysisResult(

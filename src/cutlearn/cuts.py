@@ -12,6 +12,7 @@ operators take the model's variables unchanged there.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .model import (
@@ -29,10 +30,11 @@ from .rationals import (
     frac_ceil,
     frac_floor,
     frac_part,
+    int_if_integral,
     is_finite,
     is_integral,
 )
-from .trail import Bounds, activity_bounds_max, global_min_activity
+from .trail import Bounds, activity_bounds_max, scaled_global_min_activity
 
 
 class CutError(ValueError):
@@ -95,27 +97,31 @@ def coef_tighten(
     Continuous terms are untouched.  On 0/1 rows with nonnegative
     coefficients this is saturation: every coefficient is clipped to the rhs.
     """
-    minact = global_min_activity(C, variables)
-    if minact >= C.rhs:
+    # C's integer-scaled row clips the same coefficients, in int arithmetic.
+    scale, terms, rhs = C.int_scaled()
+    minact = scaled_global_min_activity(C, variables)
+    if minact >= rhs:
         raise CutError("coefficient tightening requires a non-redundant constraint")
     if not is_finite(minact):
         return C
-    btilde = C.rhs - minact
+    btilde = rhs - minact
     clipped = {}
-    rhs = C.rhs
-    for j, a in C.terms:
+    for j, a in terms:
         v = variables[j]
         if not v.is_integral:
             continue
         if a > btilde:
             clipped[j] = btilde
-            rhs -= (a - btilde) * v.global_lb
+            rhs -= (a - btilde) * int_if_integral(v.global_lb)
         elif a < -btilde:
             clipped[j] = -btilde
-            rhs -= (a + btilde) * v.global_ub
+            rhs -= (a + btilde) * int_if_integral(v.global_ub)
     if not clipped:
-        return LinearConstraint(C.terms, C.rhs, "derived")
-    return LinearConstraint.from_dict({**C.as_dict(), **clipped}, rhs, "derived")
+        return C.with_origin("derived")
+    coefs = {**dict(terms), **clipped}
+    return LinearConstraint.from_dict(
+        {j: Fraction(a, scale) for j, a in coefs.items()}, Fraction(rhs, scale), "derived"
+    )
 
 
 def cg_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstraint:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -129,10 +130,23 @@ class LinearConstraint:
         coefficient and rhs denominators, so every coefficient and the rhs
         are ``int``.  Scaling by a positive number keeps the row's feasible
         set, and any comparison of two activities, or of one with the rhs,
-        comes out the same on the scaled row."""
+        comes out the same on the scaled row.  Computed once per row."""
+        return self._int_form
+
+    @cached_property
+    def _int_form(self) -> Tuple[int, Tuple[Tuple[int, int], ...], int]:
+        # Not a dataclass field, so it stays out of equality, hash and repr.
         scale = math.lcm(self.rhs.denominator, *(c.denominator for _, c in self.terms))
         terms = tuple((j, c.numerator * (scale // c.denominator)) for j, c in self.terms)
         return scale, terms, self.rhs.numerator * (scale // self.rhs.denominator)
+
+    def with_origin(self, origin: str) -> "LinearConstraint":
+        """The same row under another ``origin``, with its integer-scaled
+        form if that is computed already."""
+        out = LinearConstraint(self.terms, self.rhs, origin)
+        if "_int_form" in self.__dict__:
+            out.__dict__["_int_form"] = self._int_form
+        return out
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -396,7 +410,7 @@ def denormalize(
     equivalence and is kept as-is.
     """
     work = _substitute(C, record.complemented, record.shifted, -1, variables)
-    return LinearConstraint(work.terms, work.rhs, C.origin)
+    return work.with_origin(C.origin)
 
 
 def literal_variables(

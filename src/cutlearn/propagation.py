@@ -123,11 +123,14 @@ def propagate_fixpoint(
     the number of rounds is capped.  Stopping early is sound: propagation
     only ever deduces implied bounds, never assumes anything.
 
-    A row is skipped when the trail still holds it stable: it implied
-    nothing when last evaluated, and no bound of its variables has changed
-    since (``Trail.is_stable``).  Evaluating it would again give no change,
-    so the order, the deductions and any conflict stay those of a plain
-    round robin.
+    Each row is evaluated once per round.  Its deductions tighten, for each
+    x_j, the bound that its max activity does not read (the lower bound if
+    a_j > 0, the upper bound if a_j < 0), so right after they are pushed the
+    row implies nothing and is marked stable.  A row is skipped when the
+    trail still holds it stable: no bound of its variables differs from
+    when it was marked (``Trail.is_stable``), backjumps included.
+    Evaluating it would again give no change, so the order, the deductions
+    and any conflict stay those of a plain round robin.
     """
     # The trail updates its bound vectors in place.
     variables, lb, ub = trail.variables, trail.local_lb, trail.local_ub
@@ -140,15 +143,12 @@ def propagate_fixpoint(
         for i, row in enumerate(rows):
             if trail.is_stable(i, row):
                 continue
-            while True:
-                result = propagate_candidates(row, variables, lb, ub)
-                if result.conflict:
-                    return FixpointResult(
-                        True, ("row", i), trail.current_state, num_changes
-                    )
-                if not result.changes:
-                    trail.mark_stable(i, row)
-                    break
+            result = propagate_candidates(row, variables, lb, ub)
+            if result.conflict:
+                return FixpointResult(
+                    True, ("row", i), trail.current_state, num_changes
+                )
+            if result.changes:
                 # A row has one term per variable, so it gives at most one
                 # candidate per variable and pushing one moves no other's
                 # bound.
@@ -162,6 +162,7 @@ def propagate_fixpoint(
                     )
                 num_changes += len(result.changes)
                 changed = True
+            trail.mark_stable(i, row)
         for i, dis in enumerate(disjunctions):
             res = propagate_disjunction(dis, trail)
             if res.conflict:

@@ -75,13 +75,20 @@ class Trail:
         self.local_lb: List[Ext] = [v.global_lb for v in variables]
         self.local_ub: List[Ext] = [v.global_ub for v in variables]
         self.changes: List[BoundChange] = []
-        # ``tick`` counts bound changes, undone ones included; ``stamp[j]`` is
-        # the tick of x_j's latest change (made or undone).  ``stable_rows``
-        # maps a row index to the row and the tick at which propagation last
-        # found that row implying nothing.
-        self.tick = 0
+        # ``stamp[j]`` is the trail length just after x_j's latest change on
+        # the trail, 0 if it has none; ``prior_stamps[k]`` is the stamp that
+        # ``changes[k]`` replaced, which a backjump puts back.  ``stable_rows``
+        # maps a row index to the row and the trail length at which
+        # propagation last found that row implying nothing; ``stable_log``
+        # holds, for every such mark, the trail length, the index and the
+        # entry it replaced, so a backjump can drop the marks made after its
+        # earliest undone change.  An entry then always describes the
+        # current trail's prefix of that length, and a row is stable iff
+        # none of its variables has a stamp past that length.
         self.stamp: List[int] = [0] * len(self.variables)
+        self.prior_stamps: List[int] = []
         self.stable_rows: Dict[int, Tuple[LinearConstraint, int]] = {}
+        self.stable_log: List[Tuple[int, int, Optional[Tuple[LinearConstraint, int]]]] = []
 
     # -- state bookkeeping ------------------------------------------------
 
@@ -121,9 +128,9 @@ class Trail:
             self.local_lb[j] = change.new_value
         else:
             self.local_ub[j] = change.new_value
-        self.tick += 1
-        self.stamp[j] = self.tick
+        self.prior_stamps.append(self.stamp[j])
         self.changes.append(change)
+        self.stamp[j] = len(self.changes)
 
     def _check_tightens(self, var: int, kind: BoundKind, value: Rat) -> Ext:
         value = Fraction(value)
@@ -180,18 +187,28 @@ class Trail:
                 self.local_lb[ch.var] = ch.old_value
             else:
                 self.local_ub[ch.var] = ch.old_value
-            self.tick += 1
-            self.stamp[ch.var] = self.tick
+            self.stamp[ch.var] = self.prior_stamps.pop()
+        length = len(self.changes)
+        log, stable = self.stable_log, self.stable_rows
+        while log and log[-1][0] > length:
+            _, index, replaced = log.pop()
+            if replaced is None:
+                del stable[index]
+            else:
+                stable[index] = replaced
 
     # -- stable rows ---------------------------------------------------------
 
     def mark_stable(self, index: int, row: LinearConstraint) -> None:
         """Record that ``row``, at ``index``, implies nothing at current bounds."""
-        self.stable_rows[index] = (row, self.tick)
+        length = len(self.changes)
+        self.stable_log.append((length, index, self.stable_rows.get(index)))
+        self.stable_rows[index] = (row, length)
 
     def is_stable(self, index: int, row: LinearConstraint) -> bool:
         """True iff ``row`` was marked stable at ``index`` and no bound of its
-        variables has changed since, so it still implies nothing."""
+        variables differs from when it was marked, so it still implies
+        nothing."""
         entry = self.stable_rows.get(index)
         if entry is None or entry[0] is not row:
             return False
@@ -283,12 +300,16 @@ def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
 
 
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    """C's min activity at the global bounds, in one pass over its terms.
+    """C's min activity at the global bounds: ``scaled_global_min_activity``
+    divided by C's scale once."""
+    total = scaled_global_min_activity(C, variables)
+    return Fraction(total, C.int_scaled()[0]) if is_finite(total) else NEG_INF
 
-    The sum runs on C's integer-scaled row with integral bounds read as
-    ``int``, and is divided by the scale once at the end.
-    """
-    scale, terms, _ = C.int_scaled()
+
+def scaled_global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
+    """The min activity at the global bounds of C's integer-scaled row, in
+    one pass over its terms, with integral bounds read as ``int``."""
+    _, terms, _ = C.int_scaled()
     total = 0
     for j, a in terms:
         v = variables[j]
@@ -296,4 +317,4 @@ def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> E
         if not is_finite(bound):
             return NEG_INF
         total += a * int_if_integral(bound)
-    return Fraction(total, scale)
+    return total

@@ -636,6 +636,29 @@ def test_global_min_activity_is_the_fraction_sum(case):
 
 @settings(max_examples=300, deadline=None)
 @given(_row_and_variables())
+def test_coef_tighten_matches_clipping_in_fractions(case):
+    """``coef_tighten`` clips on C's integer-scaled row; the result is the
+    clipping of C's own Fraction coefficients towards rhs - minact."""
+    C, vs = case
+    minact = global_min_activity(C, vs)
+    if not is_finite(minact) or minact >= C.rhs:
+        return
+    btilde = C.rhs - minact
+    terms, rhs = C.as_dict(), C.rhs
+    for j, a in C.terms:
+        v = vs[j]
+        if v.is_integral and a > btilde:
+            terms[j] = btilde
+            rhs -= (a - btilde) * v.global_lb
+        elif v.is_integral and a < -btilde:
+            terms[j] = -btilde
+            rhs -= (a + btilde) * v.global_ub
+    out = coef_tighten(C, vs)
+    assert out == mk(terms, rhs) and out.origin == "derived"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_and_variables())
 def test_strengthen_tightens_exactly_the_rows_that_are_not_redundant(case):
     C, vs = case
     out = _strengthen(C, vs)

@@ -66,6 +66,20 @@ def test_int_scaled():
     assert all(type(a) is int for _, a in terms) and type(rhs) is int
 
 
+def test_int_scaled_is_kept_out_of_equality_and_repr():
+    """The integer form is computed once, is not part of the row's value,
+    and carries over to the row under another origin."""
+    C = LinearConstraint.from_dict({0: F(1, 2), 1: F(-2, 3)}, F(1, 5))
+    fresh = LinearConstraint.from_dict({0: F(1, 2), 1: F(-2, 3)}, F(1, 5))
+    form = C.int_scaled()
+    assert C.int_scaled() is form
+    assert C == fresh and hash(C) == hash(fresh) and repr(C) == repr(fresh)
+    learned = C.with_origin("learned:cmir")
+    assert learned == C and learned.origin == "learned:cmir"
+    assert learned.int_scaled() is form
+    assert fresh.with_origin("derived").int_scaled() == form
+
+
 @given(st.dictionaries(st.integers(0, 6), coefs.filter(bool), max_size=5), coefs)
 def test_int_scaled_is_the_row_times_its_scale(terms, rhs):
     C = LinearConstraint.from_dict(terms, rhs)

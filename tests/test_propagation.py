@@ -396,6 +396,54 @@ def test_row_stale_after_backjump_is_propagated_again():
     assert propagate_fixpoint(t, rows).num_changes == 1 and t.local_lb[0] == 1
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The rows ``propagate_fixpoint`` evaluates, in order."""
+    import cutlearn.propagation as propagation
+
+    seen = []
+
+    def counting(C, *args):
+        seen.append(C)
+        return propagate_candidates(C, *args)
+
+    monkeypatch.setattr(propagation, "propagate_candidates", counting)
+    return seen
+
+
+def test_stable_row_is_not_evaluated_after_a_backjump_to_its_mark(evaluations):
+    """A backjump that undoes only changes made after a row was marked
+    stable puts its variables' bounds back, so the row stays stable."""
+    t = Trail(binary_vars(4))
+    rows = [mk({0: 1, 1: 1}, 1), mk({2: 1, 3: 1}, 1)]  # x0 + x1 >= 1, x2 + x3 >= 1
+    t.push_decision(0, BoundKind.UPPER, 0)
+    assert propagate_fixpoint(t, rows).num_changes == 1  # x1 >= 1
+    marked = t.current_state  # both rows are stable here
+    t.push_decision(2, BoundKind.UPPER, 0)
+    assert propagate_fixpoint(t, rows).num_changes == 1  # x3 >= 1
+    t.backjump(marked)  # undoes x2 <= 0 and x3 >= 1
+    evaluations.clear()
+    assert propagate_fixpoint(t, rows).num_changes == 0
+    assert evaluations == []
+    # A new change on x3 makes the second row unstable again.
+    t.push_decision(3, BoundKind.UPPER, 0)
+    assert propagate_fixpoint(t, rows).num_changes == 1 and t.local_lb[2] == 1
+    assert evaluations == [rows[1]]
+
+
+def test_deducing_row_is_evaluated_once_per_round(evaluations):
+    """A row's deductions do not move the bounds its max activity reads, so
+    it is evaluated once in the round it deduces and then skipped."""
+    t = Trail(binary_vars(3))
+    rows = [mk({0: 1, 1: 1}, 1), mk({1: -1, 2: -1}, -1)]  # x0 + x1 >= 1, x1 + x2 <= 1
+    t.push_decision(2, BoundKind.LOWER, 1)
+    # Round 1: row 0 implies nothing, row 1 deduces x1 <= 0.  Round 2: row 0
+    # deduces x0 >= 1.  Round 3: both rows are stable.
+    assert propagate_fixpoint(t, rows).num_changes == 2
+    assert t.local_ub[1] == 0 and t.local_lb[0] == 1
+    assert evaluations == [rows[0], rows[1], rows[0]]
+
+
 # -- activity kernel -------------------------------------------------------------
 
 

@@ -48,21 +48,54 @@ def test_script_main_succeeds(name, argv, capsys):
 def test_bench_pairs_smoke(capsys):
     """One short pair with the repository as both sides: every run is
     correct, the summary covers every end-to-end metric, and a claim on
-    ``nodes``, which ties, is not met."""
+    ``nodes``, which ties, is not met.  Timings of one 0.2 s pair may land
+    over a bound; the exit status says whether any did."""
     root = str(SCRIPTS.parent)
     argv = [root, root, "--workload", "pigeonhole", "--pairs", "1", "--seconds", "0.2",
             "--claim", "nodes"]
-    assert _load("bench_pairs").main(argv) == 0
+    status = _load("bench_pairs").main(argv)
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2].startswith("claim nodes: NOT MET  change wins 0/1 (needs 9/10)")
     result = json.loads(lines[-1])
     assert result["claim"]["metric"] == "nodes" and not result["claim"]["met"]
     assert result["correct"]
+    over = [name for name, s in result["summary"].items() if s["over_bound"]]
+    assert "nodes" not in over and result["over_bound"] == over
+    assert lines[-3] == f"over bound: {', '.join(over) or 'none'}"
+    assert status == (1 if over else 0)
     assert [r["side"] for r in result["runs"]["parent"]] == ["parent"]
     benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
     assert set(result["summary"]) == {m["name"] for m in benchmark["end_to_end"]}
     assert result["summary"]["nodes"]["parent"]["median"] == 72
     assert result["summary"]["nodes"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize(
+    "change_wall_s, over",
+    [(1.2, []), (1.3, ["wall_s"])],
+)
+def test_bench_pairs_exits_1_over_a_bound(tmp_path, monkeypatch, capsys, change_wall_s, over):
+    """A median ``wall_s`` 30% above the parent's is over its 24% bound:
+    the metric is named and the exit status is 1; 20% above is not."""
+    bench_pairs = _load("bench_pairs")
+    benchmark = (SCRIPTS.parent / "BENCHMARK.json").read_text()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(benchmark)
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in json.loads(benchmark)["end_to_end"]}
+        if checkout.name == "change":
+            metrics["wall_s"] = {"value": change_wall_s}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "pigeonhole", "--pairs", "2"]
+    assert bench_pairs.main(argv) == (1 if over else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"over bound: {', '.join(over) or 'none'}"
+    assert json.loads(lines[-1])["over_bound"] == over
 
 
 def _summary(parent, change):

@@ -1,7 +1,7 @@
 """Trail mechanics: states, bound queries, backjumps."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlearn.model import BoundKind
@@ -151,3 +151,57 @@ def test_reimported_modules_are_freed():
     del search, trail
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# -- stable rows ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_stable_iff_no_change_on_the_row_since_its_surviving_mark(data):
+    """A mark survives until a backjump undoes a change made before it, and
+    then the index's previous surviving mark is back.  ``is_stable`` holds
+    iff the index's latest surviving mark is for this row and no change
+    after it is on the row's variables; the row's bounds are then those at
+    the mark."""
+    t = Trail(binary_vars(4))
+    rows = [mk({0: 1, 1: 1}, 1), mk({1: 1, 2: -1}, 0), mk({2: 1, 3: 1}, 1)]
+    marks = []  # (index, row, changes at the mark, the row's bounds then)
+
+    def bounds(row):
+        return [(t.local_lb[j], t.local_ub[j]) for j, _ in row.terms]
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        step = data.draw(st.sampled_from(["push", "backjump", "mark"]))
+        if step == "push":
+            free = [j for j in range(4) if t.local_lb[j] < t.local_ub[j]]
+            if free:
+                j = data.draw(st.sampled_from(free))
+                kind = data.draw(st.sampled_from(list(BoundKind)))
+                value = 1 if kind is BoundKind.LOWER else 0
+                if data.draw(st.booleans()):
+                    t.push_decision(j, kind, value)
+                else:
+                    t.push_deduction(j, kind, value, RowReason(0, rows[0]))
+        elif step == "backjump":
+            targets = [INITIAL_STATE] + [ch.state for ch in t.changes]
+            t.backjump(data.draw(st.sampled_from(targets)))
+        else:
+            i = data.draw(st.integers(0, 1))
+            row = data.draw(st.sampled_from(rows))
+            t.mark_stable(i, row)
+            marks.append((i, row, list(t.changes), bounds(row)))
+        for i in range(2):
+            surviving = [
+                m for m in marks
+                if m[0] == i
+                and len(m[2]) <= len(t.changes)
+                and all(a is b for a, b in zip(m[2], t.changes))
+            ]
+            for row in rows:
+                want = bool(surviving) and surviving[-1][1] is row and not any(
+                    row.coef(ch.var) for ch in t.changes[len(surviving[-1][2]):]
+                )
+                assert t.is_stable(i, row) == want
+                if want:
+                    assert bounds(row) == surviving[-1][3]
