@@ -39,7 +39,7 @@ from .model import (
     normalize_for_reduction,
 )
 from .propagation import is_tight_propagation
-from .rationals import INF, ONE, Ext, int_if_integral, is_finite
+from .rationals import INF, ONE, Ext, is_finite
 from .trail import (
     INITIAL_STATE,
     BoundChange,
@@ -73,9 +73,9 @@ class AnalysisResult:
 class _ActivityWalk:
     """C's max activity, kept while walking the trail forward from the root.
 
-    The walk runs on C's integer-scaled row (``LinearConstraint.int_scaled``)
-    with every integral bound read as an ``int``, so on integral data all its
-    sums are ``int`` sums; a fractional continuous bound stays a Fraction.
+    The walk runs on C's integer-scaled row (``LinearConstraint.int_scaled``),
+    and integral bounds are ``int``s, so on integral data all its sums are
+    ``int`` sums; a fractional continuous bound stays a Fraction.
     Its tests compare quantities that all carry the same positive scale, so
     they answer as on C itself.  The walk starts at the global bounds, set up
     in one pass over C's terms: the exact sum of the finite max contributions
@@ -97,13 +97,13 @@ class _ActivityWalk:
             v = variables[j]
             hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
             if is_finite(hi):
-                top[j] = a * int_if_integral(hi)
+                top[j] = a * hi
                 finite += top[j]
             else:
                 top[j] = None
                 unbounded.add(j)
             if bottoms:
-                bottom[j] = a * int_if_integral(lo) if is_finite(lo) else None
+                bottom[j] = a * lo if is_finite(lo) else None
         self.finite = finite
 
     def apply(self, ch: BoundChange) -> bool:
@@ -114,7 +114,7 @@ class _ActivityWalk:
             return False
         if j == self.widest:
             self.widest = None
-        value = a * int_if_integral(ch.new_value)
+        value = a * ch.new_value
         if (ch.kind is BoundKind.UPPER) != (a > 0):
             self.bottom[j] = value
             return True

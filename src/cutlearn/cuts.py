@@ -12,6 +12,7 @@ operators take the model's variables unchanged there.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -27,10 +28,7 @@ from .model import (
 from .rationals import (
     ZERO,
     ONE,
-    frac_ceil,
-    frac_floor,
     frac_part,
-    int_if_integral,
     is_finite,
     is_integral,
 )
@@ -112,10 +110,10 @@ def coef_tighten(
             continue
         if a > btilde:
             clipped[j] = btilde
-            rhs -= (a - btilde) * int_if_integral(v.global_lb)
+            rhs -= (a - btilde) * v.global_lb
         elif a < -btilde:
             clipped[j] = -btilde
-            rhs -= (a + btilde) * int_if_integral(v.global_ub)
+            rhs -= (a + btilde) * v.global_ub
     if not clipped:
         return C.with_origin("derived")
     coefs = {**dict(terms), **clipped}
@@ -133,7 +131,7 @@ def cg_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstrai
         if v.global_lb != 0:
             raise CutError("CG cut requires global lower bounds 0")
     return LinearConstraint.from_dict(
-        {j: frac_ceil(a) for j, a in C.terms}, frac_ceil(C.rhs), "derived"
+        {j: math.ceil(a) for j, a in C.terms}, math.ceil(C.rhs), "derived"
     )
 
 
@@ -154,10 +152,10 @@ def mir_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstra
     for j, a in C.terms:
         v = variables[j]
         if v.is_integral:
-            terms[j] = frac_floor(a) + min(ONE, frac_part(a) / fb)
+            terms[j] = math.floor(a) + min(ONE, frac_part(a) / fb)
         elif a > 0:
             terms[j] = a / fb
-    return LinearConstraint.from_dict(terms, frac_ceil(C.rhs), "derived")
+    return LinearConstraint.from_dict(terms, math.ceil(C.rhs), "derived")
 
 
 # -- reason reductions (pure binary, Assumption-1 form) ----------------------

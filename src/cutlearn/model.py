@@ -25,6 +25,7 @@ from .rationals import (
     ONE,
     format_ext,
     format_rational,
+    int_if_integral,
     is_finite,
     is_integral,
 )
@@ -69,8 +70,12 @@ class Variable:
     global_ub: Ext
 
     def __post_init__(self):
-        for b in (self.global_lb, self.global_ub):
-            if isinstance(b, float) and not math.isinf(b):
+        for name in ("global_lb", "global_ub"):
+            b = getattr(self, name)
+            if not isinstance(b, float):
+                # An integral finite bound is stored as an int.
+                object.__setattr__(self, name, int_if_integral(b))
+            elif not math.isinf(b):
                 raise ValueError(
                     f"variable {self.name!r} has float bound {b}; "
                     "finite bounds must be exact (int or Fraction)"
@@ -425,7 +430,7 @@ def literal_variables(
             if is_finite(v.global_ub) and is_finite(v.global_lb)
             else INF
         )
-        out[j] = replace(v, global_lb=ZERO, global_ub=width)
+        out[j] = replace(v, global_lb=0, global_ub=width)
     return out
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
-from .rationals import Rat, frac_ceil, frac_floor, is_integral
+from .rationals import Rat, is_integral
 from .trail import (
     BoundChange,
     Bounds,
@@ -60,11 +61,11 @@ def propagate_candidates(
         pre = (C.rhs - rest) / a
         var = variables[j]
         if a > 0:
-            value = frac_ceil(pre) if var.is_integral else pre
+            value = math.ceil(pre) if var.is_integral else pre
             if value > lb[j]:
                 candidates.append(Candidate(j, BoundKind.LOWER, value, pre))
         else:
-            value = frac_floor(pre) if var.is_integral else pre
+            value = math.floor(pre) if var.is_integral else pre
             if value < ub[j]:
                 candidates.append(Candidate(j, BoundKind.UPPER, value, pre))
     if candidates:
@@ -95,7 +96,7 @@ def propagate_disjunction(D: BoundDisjunction, trail: Trail) -> DisjunctionPropa
     value = atom.value
     var = trail.variables[atom.var]
     if var.is_integral and not is_integral(value):
-        value = frac_ceil(value) if atom.kind is BoundKind.LOWER else frac_floor(value)
+        value = math.ceil(value) if atom.kind is BoundKind.LOWER else math.floor(value)
     return DisjunctionPropagation(False, (atom.var, atom.kind, value))
 
 

@@ -6,12 +6,17 @@ and ``NEG_INF``, so ``is_inf`` is a type test rather than two comparisons.
 That holds because every other float is refused where values enter the
 model: ``Variable`` refuses finite float bounds and empty domains, and rows
 (``LinearConstraint.from_dict``, ``build_problem``), objectives and bound
-atoms refuse every float, infinite ones included.  ``Trail`` stores every
-pushed value as a ``Fraction``; ``int_if_integral`` reads an integral one
-as an ``int``, so sums over integral data can run in ``int`` arithmetic.
-No code adds, subtracts or multiplies an infinity: it only compares one or
-tests it with ``is_finite``, and every subtraction or product on a bound is
-guarded by ``is_finite``.  So ``inf - inf`` and ``0 * inf`` never arise.
+atoms refuse every float, infinite ones included.
+
+A finite bound or value whose denominator is 1 is an ``int``: ``Variable``
+bounds, the values ``Trail`` pushes and a leaf's objective value and
+continuous witness entries pass through ``int_if_integral``, and roundings
+use ``math.floor``/``math.ceil``.  So sums over integral bounds run in
+``int`` arithmetic, while row coefficients and right-hand sides stay
+``Fraction``s.  No code adds, subtracts or multiplies an infinity: it only
+compares one or tests it with ``is_finite``, and every subtraction or
+product on a bound is guarded by ``is_finite``.  So ``inf - inf`` and
+``0 * inf`` never arise.
 """
 
 from __future__ import annotations
@@ -43,17 +48,9 @@ def int_if_integral(a: Rat) -> Rat:
     return a.numerator if a.denominator == 1 else a
 
 
-def frac_floor(a: Rat) -> Rat:
-    return Fraction(math.floor(a))
-
-
-def frac_ceil(a: Rat) -> Rat:
-    return Fraction(math.ceil(a))
-
-
 def frac_part(a: Rat) -> Rat:
     """Fractional part a - floor(a), in [0, 1)."""
-    return a - frac_floor(a)
+    return a - math.floor(a)
 
 
 def is_integral(a: Ext) -> bool:

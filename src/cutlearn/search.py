@@ -15,7 +15,6 @@ separate, implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .conflict import AnalysisResult, analyze, graph_fallback
@@ -34,7 +33,7 @@ from .rationals import (
     ZERO,
     Rat,
     format_rational,
-    frac_floor,
+    int_if_integral,
     is_finite,
     is_integral,
 )
@@ -84,7 +83,9 @@ class Stats:
 @dataclass
 class SolveResult:
     status: str  # "optimal" | "infeasible" | "limit"
+    # An int when integral, else a Fraction; None without an objective.
     objective: Optional[Rat] = None
+    # One value per variable, each an int when integral, else a Fraction.
     witness: Optional[Tuple[Rat, ...]] = None
     stats: Stats = field(default_factory=Stats)
     learned: Tuple[LearnedObject, ...] = ()
@@ -113,16 +114,15 @@ def select_branching(
         if lb == ub:
             continue
         if v.kind is VarKind.BINARY:
-            return (v.index, BoundKind.UPPER, ZERO, BoundKind.LOWER, ONE)
+            return (v.index, BoundKind.UPPER, 0, BoundKind.LOWER, 1)
         if is_finite(lb) and is_finite(ub):
-            mid = frac_floor((Fraction(lb) + Fraction(ub)) / 2)
+            mid = (lb + ub) // 2
         elif is_finite(lb):
-            mid = Fraction(lb)
+            mid = lb
         elif is_finite(ub):
-            ub = Fraction(ub)
             return (v.index, BoundKind.LOWER, ub, BoundKind.UPPER, ub - 1)
         else:
-            mid = ZERO
+            mid = 0
         return (v.index, BoundKind.UPPER, mid, BoundKind.LOWER, mid + 1)
     return None
 
@@ -142,16 +142,16 @@ def _leaf_residual(
             if j in cont_set:
                 coefs[j] = a
             else:
-                rhs -= a * Fraction(trail.local_lb[j])
+                rhs -= a * trail.local_lb[j]
         if coefs:
             out.append((coefs, rhs))
         elif rhs > 0:
             return None
     for j in cont:
         if is_finite(trail.local_lb[j]):
-            out.append(({j: ONE}, Fraction(trail.local_lb[j])))
+            out.append(({j: ONE}, trail.local_lb[j]))
         if is_finite(trail.local_ub[j]):
-            out.append(({j: -ONE}, -Fraction(trail.local_ub[j])))
+            out.append(({j: -ONE}, -trail.local_ub[j]))
     return out
 
 
@@ -300,7 +300,8 @@ class _Solver:
         self.all_integer_obj = not self.cont_obj and all(
             is_integral(c) for c in self.int_obj.values()
         )
-        self.neg_obj = {j: -c for j, c in obj.items()}
+        # The cutoff row's terms, -c sorted by variable index.
+        self.cutoff_terms = tuple((j, -c) for j, c in problem.objective or ())
         self._used_rows: Set[int] = set()
         self._used_dis: Set[int] = set()
         for extra in config.initial_learned:
@@ -397,37 +398,26 @@ class _Solver:
     # -- leaves ------------------------------------------------------------
 
     def _leaf(self) -> None:
-        value: Optional[Rat] = None
-        witness: Optional[Tuple[Rat, ...]] = None
-        int_part = sum(
-            (c * Fraction(self.trail.local_lb[j]) for j, c in self.int_obj.items()),
-            ZERO,
-        )
+        lb = self.trail.local_lb
+        value = sum((c * lb[j] for j, c in self.int_obj.items()), ZERO)
         if self.cont:
             res = _leaf_continuous(self.rows, self.trail, self.cont, self.cont_obj)
-            if res is not None:
-                cont_val, assignment = res
-                value = int_part + cont_val
-                point = []
-                for v in self.problem.variables:
-                    if v.index in assignment:
-                        point.append(assignment[v.index])
-                    else:
-                        point.append(Fraction(self.trail.local_lb[v.index]))
-                witness = tuple(point)
-        else:
-            value = int_part
+            if res is None:
+                return
+            cont_val, assignment = res
+            value += cont_val
             witness = tuple(
-                Fraction(self.trail.local_lb[j])
-                for j in range(len(self.problem.variables))
+                int_if_integral(assignment[j]) if j in assignment else lb[j]
+                for j in range(len(lb))
             )
-        if value is None:
-            return
+        else:
+            witness = tuple(lb)
+        value = int_if_integral(value)
         if self.incumbent_value is not None and value >= self.incumbent_value:
             return  # repetition guard: ties are never re-accepted
         self.incumbent = witness
         self.incumbent_value = value
-        if self.neg_obj:
+        if self.cutoff_terms:
             self._add_cutoff_row(value)
 
     def _add_cutoff_row(self, value: Rat) -> None:
@@ -439,7 +429,7 @@ class _Solver:
         is evaluated afresh at the next fixpoint.
         """
         delta = ONE if self.all_integer_obj else ZERO
-        row = LinearConstraint.from_dict(self.neg_obj, delta - value, "cutoff")
+        row = LinearConstraint(self.cutoff_terms, delta - value, "cutoff")
         if self.cutoff is None:
             self.cutoff = len(self.rows)
             self.rows.append(row)
@@ -449,7 +439,7 @@ class _Solver:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SolveResult:
-        has_objective = bool(self.neg_obj)
+        has_objective = bool(self.cutoff_terms)
         while True:
             start = len(self.trail.changes)
             fix = propagate_fixpoint(self.trail, self.rows, self.disjunctions)

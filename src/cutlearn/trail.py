@@ -68,7 +68,12 @@ class BoundChange:
 
 
 class Trail:
-    """Root-to-node path of bound changes over a fixed variable set."""
+    """Root-to-node path of bound changes over a fixed variable set.
+
+    A pushed value is stored as an ``int`` when it is integral, as are
+    ``Variable`` bounds, so every integral finite value in the local bound
+    vectors and in each change's ``new_value`` and ``old_value`` is an
+    ``int``."""
 
     def __init__(self, variables: Sequence[Variable]):
         self.variables = tuple(variables)
@@ -133,7 +138,6 @@ class Trail:
         self.stamp[j] = len(self.changes)
 
     def _check_tightens(self, var: int, kind: BoundKind, value: Rat) -> Ext:
-        value = Fraction(value)
         if kind is BoundKind.LOWER:
             old = self.local_lb[var]
             if value <= old:
@@ -154,7 +158,7 @@ class Trail:
     def push_decision(self, var: int, kind: BoundKind, value: Rat) -> StateId:
         if self.variables[var].kind is VarKind.CONTINUOUS:
             raise ValueError("branching on a continuous variable is not allowed")
-        value = Fraction(value)
+        value = int_if_integral(value)
         old = self._check_tightens(var, kind, value)
         state = self._next_state(decision=True)
         self._apply(BoundChange(state, var, kind, value, old, None))
@@ -170,7 +174,7 @@ class Trail:
     ) -> StateId:
         if reason is None:
             raise ValueError("deduction requires a reason")
-        value = Fraction(value)
+        value = int_if_integral(value)
         old = self._check_tightens(var, kind, value)
         state = self._next_state(decision=False)
         self._apply(
@@ -295,8 +299,18 @@ def residual(finite: Rat, infinite: int, contrib: Optional[Rat]) -> Optional[Rat
 
 
 def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
-    finite, infinite, _ = activity(C, lb, ub)
-    return finite if infinite == 0 else INF
+    """C's max activity over the box [lb, ub], INF if it is unbounded.
+
+    It is summed on C's integer-scaled row, so on integral bounds the sum
+    is an ``int`` sum, and divided by C's scale once."""
+    scale, terms, _ = C.int_scaled()
+    total = 0
+    for j, a in terms:
+        bound = ub[j] if a > 0 else lb[j]
+        if not is_finite(bound):
+            return INF
+        total += a * bound
+    return Fraction(total, scale)
 
 
 def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
@@ -308,7 +322,7 @@ def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> E
 
 def scaled_global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
     """The min activity at the global bounds of C's integer-scaled row, in
-    one pass over its terms, with integral bounds read as ``int``."""
+    one pass over its terms."""
     _, terms, _ = C.int_scaled()
     total = 0
     for j, a in terms:
@@ -316,5 +330,5 @@ def scaled_global_min_activity(C: LinearConstraint, variables: Sequence[Variable
         bound = v.global_lb if a > 0 else v.global_ub
         if not is_finite(bound):
             return NEG_INF
-        total += a * int_if_integral(bound)
+        total += a * bound
     return total

@@ -14,7 +14,7 @@ from cutlearn.model import (
     build_problem,
 )
 from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_inf
-from cutlearn.trail import StateId, Trail, activity_bounds_max
+from cutlearn.trail import StateId, Trail, activity
 
 F = Fraction
 
@@ -30,9 +30,18 @@ def box(trail: Trail, state: Optional[StateId] = None):
     return (trail.variables, *trail.bounds_at(state))
 
 
+def reference_activity_bounds_max(C: LinearConstraint, lb, ub) -> Ext:
+    """C's max activity over [lb, ub], INF if unbounded, summed in C's own
+    Fractions by the activity kernel: the reference that
+    ``trail.activity_bounds_max``, which sums on the integer-scaled row, is
+    tested against."""
+    finite, infinite, _ = activity(C, lb, ub)
+    return finite if infinite == 0 else INF
+
+
 def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
     _, lb, ub = box(trail, state)
-    return activity_bounds_max(C, lb, ub)
+    return reference_activity_bounds_max(C, lb, ub)
 
 
 def infeasible_at(

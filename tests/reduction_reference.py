@@ -13,6 +13,7 @@ that results and failures compare equal; ``test_cuts.py`` maps this
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
@@ -25,15 +26,13 @@ from cutlearn.rationals import (
     ZERO,
     Ext,
     Rat,
-    frac_ceil,
-    frac_floor,
     frac_part,
     is_finite,
     is_integral,
 )
-from cutlearn.trail import StateId, Trail, activity_bounds_max
+from cutlearn.trail import StateId, Trail
 
-from conftest import infeasible_at
+from conftest import infeasible_at, reference_activity_bounds_max
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,10 @@ def mir_cut(C: LinearConstraint, variables: Sequence[Variable]) -> LinearConstra
     for j, a in C.terms:
         v = variables[j]
         if v.is_integral:
-            terms[j] = frac_floor(a) + min(ONE, frac_part(a) / fb)
+            terms[j] = math.floor(a) + min(ONE, frac_part(a) / fb)
         elif a > 0:
             terms[j] = a / fb
-    return LinearConstraint.from_dict(terms, frac_ceil(C.rhs), "derived")
+    return LinearConstraint.from_dict(terms, math.ceil(C.rhs), "derived")
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,7 @@ def reduce_cmir(
     f = frac_part(btilde)
 
     def psi(a: Rat) -> Rat:
-        return frac_floor(a) + min(ONE, frac_part(a) / f)
+        return math.floor(a) + min(ONE, frac_part(a) / f)
 
     terms = {norm.r: ONE}
     rhs = ONE
@@ -301,14 +300,14 @@ def reduce_wmir(
     f = frac_part(rhs0)
 
     def psi_w(a: Rat) -> Rat:
-        return frac_floor(a) + min(ONE, frac_part(a) / f)
+        return math.floor(a) + min(ONE, frac_part(a) / f)
 
     terms = {norm.r: ONE}
     for j in p_z:
         terms[j] = C.coef(j)
     for j in others:
         terms[j] = psi_w(C.coef(j))
-    out = LinearConstraint.from_dict(terms, frac_ceil(rhs0), "derived")
+    out = LinearConstraint.from_dict(terms, math.ceil(rhs0), "derived")
     return denormalize(out, norm.record, variables)
 
 
@@ -358,7 +357,7 @@ def resolve_general_integer(
         plain = resolve(C_learn, C_reason, x_r)
     except CutError:
         return FAILED
-    if activity_bounds_max(plain, lb, ub) < plain.rhs:
+    if reference_activity_bounds_max(plain, lb, ub) < plain.rhs:
         return Resolved(plain)
 
     # Shift/complement every variable of the reason to a 0-based literal,
@@ -422,6 +421,6 @@ def resolve_general_integer(
         res = resolve(C_learn, reduced, x_r)
     except CutError:
         return FAILED
-    if activity_bounds_max(res, lb, ub) < res.rhs:
+    if reference_activity_bounds_max(res, lb, ub) < res.rhs:
         return SeparationCut(reduced)
     return FAILED

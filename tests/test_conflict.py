@@ -1,5 +1,7 @@
 """Conflict analysis: backward resolution, continuous elimination, fallbacks."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +37,6 @@ from cutlearn.rationals import (
     INF,
     NEG_INF,
     ZERO,
-    frac_ceil,
-    frac_floor,
     is_finite,
 )
 from cutlearn.trail import (
@@ -44,11 +44,20 @@ from cutlearn.trail import (
     RowReason,
     StateId,
     Trail,
-    activity_bounds_max,
     global_min_activity,
 )
 
-from conftest import F, binary_vars, box, ext_add, ext_mul, max_activity, mbp5_system, mk
+from conftest import (
+    F,
+    binary_vars,
+    box,
+    ext_add,
+    ext_mul,
+    max_activity,
+    mbp5_system,
+    mk,
+    reference_activity_bounds_max,
+)
 
 
 # -- helper state queries -----------------------------------------------------
@@ -139,7 +148,7 @@ def _reference_scan_states(trail):
 
 def _reference_min_infeasible_state(C, trail):
     for state, lb, ub in _reference_scan_states(trail):
-        if activity_bounds_max(C, lb, ub) < C.rhs:
+        if reference_activity_bounds_max(C, lb, ub) < C.rhs:
             return state
     return None
 
@@ -153,7 +162,7 @@ def _reference_residual_max(C, skip, lb, ub):
 
 
 def _reference_propagates_under(C, trail, lb, ub):
-    if activity_bounds_max(C, lb, ub) < C.rhs:
+    if reference_activity_bounds_max(C, lb, ub) < C.rhs:
         return False
     for j, a in C.terms:
         residual = _reference_residual_max(C, j, lb, ub)
@@ -162,11 +171,11 @@ def _reference_propagates_under(C, trail, lb, ub):
         pre = (C.rhs - residual) / a
         var = trail.variables[j]
         if a > 0:
-            value = frac_ceil(pre) if var.is_integral else pre
+            value = math.ceil(pre) if var.is_integral else pre
             if value > lb[j]:
                 return True
         else:
-            value = frac_floor(pre) if var.is_integral else pre
+            value = math.floor(pre) if var.is_integral else pre
             if value < ub[j]:
                 return True
     return False
@@ -267,11 +276,11 @@ def _trail_and_row(draw):
         step = F(1) if v.is_integral else F(1, 2)
         k = draw(st.integers(1, 6))
         if kind is BoundKind.LOWER:
-            value = (frac_ceil(lo) if v.is_integral else lo) + k * step
+            value = (math.ceil(lo) if v.is_integral else lo) + k * step
             if value <= t.local_lb[j] or value > hi + 1:
                 continue
         else:
-            value = (frac_floor(hi) if v.is_integral else hi) - k * step
+            value = (math.floor(hi) if v.is_integral else hi) - k * step
             if value >= t.local_ub[j] or value < lo - 1:
                 continue
         decide = v.kind is not VarKind.CONTINUOUS and draw(st.booleans())

@@ -412,7 +412,7 @@ def reduction_cases(draw):
         if lo == NEG_INF:
             mid = F(0) if hi == INF else hi - 1
         else:
-            mid = lo + 1 if hi == INF else (lo + hi) / 2
+            mid = lo + 1 if hi == INF else F(lo + hi) / 2
         value = mid
         if vs[j].is_integral:
             value = math.floor(mid) if kind is BoundKind.UPPER else math.ceil(mid)

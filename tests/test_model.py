@@ -288,7 +288,9 @@ def test_literal_variables_width():
         (0, 7),
         (0, F(13, 6)),
     ]
-    assert type(lits[3].global_ub) is Fraction
+    # Integral widths and the new lower bounds are ints.
+    assert [type(v.global_lb) for v in lits[:5]] == [int] * 5
+    assert type(lits[3].global_ub) is int and type(lits[4].global_ub) is Fraction
     assert [v.kind for v in lits] == [v.kind for v in vs]
     assert lits[5] is vs[5]
 

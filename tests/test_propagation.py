@@ -1,6 +1,7 @@
 """Row propagation: soundness, rounding, disjunction unit rule, termination."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,6 @@ from cutlearn.rationals import (
     INF,
     NEG_INF,
     ZERO,
-    frac_ceil,
-    frac_floor,
     is_finite,
 )
 from cutlearn.trail import (
@@ -478,11 +477,11 @@ def reference_candidates(C, trail, state=None):
         pre = (C.rhs - rest) / a
         var = trail.variables[j]
         if a > 0:
-            value = frac_ceil(pre) if var.is_integral else pre
+            value = math.ceil(pre) if var.is_integral else pre
             if value > lb[j]:
                 candidates.append(Candidate(j, BoundKind.LOWER, value, pre))
         else:
-            value = frac_floor(pre) if var.is_integral else pre
+            value = math.floor(pre) if var.is_integral else pre
             if value < ub[j]:
                 candidates.append(Candidate(j, BoundKind.UPPER, value, pre))
     return PropagationResult(False, tuple(candidates))

@@ -1,5 +1,7 @@
 """Solver end-to-end behavior against the oracle, plus search plumbing."""
 
+from fractions import Fraction
+
 import pytest
 
 from cutlearn import search
@@ -22,7 +24,7 @@ from cutlearn.model import (
     violation,
 )
 from cutlearn.oracle import oracle_optimum, validate_learned
-from cutlearn.rationals import INF, NEG_INF
+from cutlearn.rationals import INF, NEG_INF, is_finite
 from cutlearn.search import (
     SolverConfig,
     SolverError,
@@ -256,6 +258,23 @@ def test_one_cutoff_row_replaced_in_place():
     assert_agrees_with_oracle(problem, result)
 
 
+def test_cutoff_row_matches_the_row_built_from_the_objective():
+    """The cutoff row, built from terms computed once, equals term for term
+    the row ``from_dict`` builds from -c, with a Fraction rhs, for an
+    integral and a fractional incumbent value, with and without delta."""
+    for problem, delta in ((random_binary_problem(93), 1), (random_mbp_problem(3), 0)):
+        solver = search._Solver(problem, SolverConfig())
+        assert solver.all_integer_obj == (delta == 1)
+        neg = {j: -c for j, c in problem.objective_dict().items()}
+        for value in (-3, F(7, 2), 4):
+            solver._add_cutoff_row(value)
+            row = solver.rows[solver.cutoff]
+            want = LinearConstraint.from_dict(neg, delta - value, "cutoff")
+            assert row.terms == want.terms and row.rhs == want.rhs
+            assert [type(c) for _, c in row.terms] == [Fraction] * len(want)
+            assert type(row.rhs) is Fraction
+
+
 # -- two-phase ----------------------------------------------------------------
 
 
@@ -383,3 +402,50 @@ def test_learned_objects_seed_an_exploitation_run():
     cfg = SolverConfig(conflict_limit=0, initial_learned=tuple(result.learned))
     again = solve(problem, cfg)
     assert_agrees_with_oracle(problem, again)
+
+
+# -- integral values are ints ---------------------------------------------------
+
+
+def _assert_int_if_integral(x):
+    """A finite integral value is an ``int``; any other finite one a Fraction."""
+    if is_finite(x):
+        assert type(x) is (int if x.denominator == 1 else Fraction), repr(x)
+
+
+def test_integral_values_are_ints(monkeypatch):
+    """Over binary, mixed-binary and general-integer instances and PHP(4..6),
+    every integral value the search stores is an ``int``: the variables'
+    bounds, each change's new and old value and the trail's bound vectors
+    after every fixpoint, the witness and the objective."""
+    fixpoint = search.propagate_fixpoint
+
+    def checked_fixpoint(trail, *args, **kwargs):
+        out = fixpoint(trail, *args, **kwargs)
+        for ch in trail.changes:
+            _assert_int_if_integral(ch.new_value)
+            _assert_int_if_integral(ch.old_value)
+        for x in trail.local_lb + trail.local_ub:
+            _assert_int_if_integral(x)
+        return out
+
+    monkeypatch.setattr(search, "propagate_fixpoint", checked_fixpoint)
+    problems = (
+        [random_binary_problem(seed) for seed in range(15)]
+        + [random_mbp_problem(seed) for seed in range(15)]
+        + [random_general_integer_problem(seed) for seed in range(15)]
+        + [pigeonhole(p, p - 1) for p in (4, 5, 6)]
+    )
+    objectives = 0
+    for problem in problems:
+        for v in problem.variables:
+            _assert_int_if_integral(v.global_lb)
+            _assert_int_if_integral(v.global_ub)
+        result = solve(problem)
+        if result.witness is not None:
+            for x in result.witness:
+                _assert_int_if_integral(x)
+        if result.objective is not None:
+            _assert_int_if_integral(result.objective)
+            objectives += 1
+    assert objectives > 20
