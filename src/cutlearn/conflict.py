@@ -216,51 +216,40 @@ def reduce_mbp(
 ) -> Union[LinearConstraint, EarlierConflict]:
     """Resolve out non-relaxable continuous variables, weaken the rest.
 
-    Walks states strictly before ``prop_state`` in decreasing order; each
-    visited state's change is on a continuous variable whose local bound
-    blocks relaxing the working reason, and is cancelled using that state's
-    own reason, whose row index goes into ``used_rows``.  Returns the
+    Walks the trail once, over states strictly before ``prop_state`` in
+    decreasing order; each change on a continuous variable whose local
+    bound blocks relaxing the working reason is cancelled using that
+    state's own reason, whose row index goes into ``used_rows``.  Returns the
     pure-binary reason left, or, if the aggregate becomes infeasible just
     before ``prop_state``, that aggregate as an ``EarlierConflict`` to
     replace the conflicting row.
     """
     variables = trail.variables
     work = C_reason
-    cursor = prop_state
-    pred = trail.predecessor(prop_state)
-    pred_lb, pred_ub = trail.bounds_at(pred)
-    while True:
-        target: Optional[BoundChange] = None
-        for ch in reversed(trail.changes):
-            if ch.state >= cursor:
-                continue
-            c = ch.var
-            if variables[c].kind is not VarKind.CONTINUOUS:
-                continue
-            a = work.coef(c)
-            if a == 0:
-                continue
-            # The change must be on the side that blocks relaxation.
-            wanted = BoundKind.UPPER if a > 0 else BoundKind.LOWER
-            if ch.kind is not wanted:
-                continue
-            target = ch
-            break
-        if target is None:
-            break
-        if target.reason is None:
+    pred_lb, pred_ub = trail.bounds_at(StateId(prop_state.level, prop_state.index - 1))
+    for ch in reversed(trail.changes):
+        if ch.state >= prop_state:
+            continue
+        c = ch.var
+        if variables[c].kind is not VarKind.CONTINUOUS:
+            continue
+        a = work.coef(c)
+        if a == 0:
+            continue
+        # The change must be on the side that blocks relaxation.
+        wanted = BoundKind.UPPER if a > 0 else BoundKind.LOWER
+        if ch.kind is not wanted:
+            continue
+        if ch.reason is None:
+            raise ReductionError(f"continuous variable x{c} was branched on")
+        if not isinstance(ch.reason, RowReason):
             raise ReductionError(
-                f"continuous variable x{target.var} was branched on"
+                f"continuous variable x{c} propagated by a disjunction"
             )
-        if not isinstance(target.reason, RowReason):
-            raise ReductionError(
-                f"continuous variable x{target.var} propagated by a disjunction"
-            )
-        used_rows.add(target.reason.index)
-        work = resolve(work, target.reason.row, target.var)
+        used_rows.add(ch.reason.index)
+        work = resolve(work, ch.reason.row, c)
         if activity_bounds_max(work, pred_lb, pred_ub) < work.rhs:
             return EarlierConflict(work)
-        cursor = target.state
     # Weaken any remaining (relaxable) continuous terms so the binary
     # reduction sees a pure 0/1 constraint.
     for j, _ in work.terms:
@@ -487,7 +476,8 @@ def _expand_change(trail: Trail, ch: BoundChange, used: Set[int]) -> List[BoundC
         reason = ch.reason.row
     else:
         reason = ch.reason.disjunction
-    return _reason_sources(trail, reason, trail.predecessor(ch.state), ch)
+    s = ch.state
+    return _reason_sources(trail, reason, StateId(s.level, s.index - 1), ch)
 
 
 def _negated_atom(ch: BoundChange, variables: Sequence[Variable]) -> BoundAtom:

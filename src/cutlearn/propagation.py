@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
 from .rationals import Rat, is_integral
@@ -20,8 +19,7 @@ from .trail import (
 )
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A bound tightening implied by one row at the current local bounds."""
 
     var: int
@@ -30,8 +28,7 @@ class Candidate:
     pre_rounding: Rat
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(NamedTuple):
     conflict: bool
     changes: Tuple[Candidate, ...] = ()
 
@@ -73,8 +70,7 @@ def propagate_candidates(
     return NO_CHANGE
 
 
-@dataclass(frozen=True)
-class DisjunctionPropagation:
+class DisjunctionPropagation(NamedTuple):
     conflict: bool
     change: Optional[Tuple[int, BoundKind, Rat]] = None
 
@@ -100,8 +96,7 @@ def propagate_disjunction(D: BoundDisjunction, trail: Trail) -> DisjunctionPropa
     return DisjunctionPropagation(False, (atom.var, atom.kind, value))
 
 
-@dataclass(frozen=True)
-class FixpointResult:
+class FixpointResult(NamedTuple):
     conflict: bool
     # For conflicts: ("row" | "disjunction", index within the given list).
     source: Optional[Tuple[str, int]] = None

@@ -382,8 +382,7 @@ class _Solver:
             if entry.flipped:
                 self.dstack.pop()
                 continue
-            target = self.trail.predecessor(StateId(entry.level, 0))
-            self.trail.backjump(target)
+            self.trail.backjump(StateId(entry.level, -1))
             entry.flipped = True
             self.trail.push_decision(entry.var, entry.flip_kind, entry.flip_value)
             self.stats.nodes += 1

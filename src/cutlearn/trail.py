@@ -3,11 +3,14 @@
 States are identified by (decision level, within-level change index); the
 state before any change is ``INITIAL_STATE`` = (0, -1).  Index 0 at each
 level > 0 is the branching decision; root-level deductions start at (0, 0).
+States order as tuples, and the state just before (L, i) is (L, i - 1): for
+i = 0 that is (L, -1), which sorts after every change of a lower level and
+before level L's first change, so bound queries and backjumps at it see
+exactly the changes before (L, 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -25,8 +28,7 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class StateId:
+class StateId(NamedTuple):
     level: int
     index: int
 
@@ -34,14 +36,12 @@ class StateId:
 INITIAL_STATE = StateId(0, -1)
 
 
-@dataclass(frozen=True)
-class RowReason:
+class RowReason(NamedTuple):
     index: int
     row: LinearConstraint
 
 
-@dataclass(frozen=True)
-class DisjunctionReason:
+class DisjunctionReason(NamedTuple):
     index: int
     disjunction: BoundDisjunction
 
@@ -51,8 +51,7 @@ class DisjunctionReason:
 Reason = RowReason | DisjunctionReason | None
 
 
-@dataclass(frozen=True)
-class BoundChange:
+class BoundChange(NamedTuple):
     state: StateId
     var: int
     kind: BoundKind
@@ -80,9 +79,12 @@ class Trail:
         self.local_lb: List[Ext] = [v.global_lb for v in variables]
         self.local_ub: List[Ext] = [v.global_ub for v in variables]
         self.changes: List[BoundChange] = []
+        # ``stamp`` and ``prior_stamps`` are each variable's change history:
         # ``stamp[j]`` is the trail length just after x_j's latest change on
-        # the trail, 0 if it has none; ``prior_stamps[k]`` is the stamp that
-        # ``changes[k]`` replaced, which a backjump puts back.  ``stable_rows``
+        # the trail, 0 if it has none, and ``prior_stamps[k]`` is the stamp
+        # that ``changes[k]`` replaced, which a backjump puts back, so
+        # following them from ``stamp[j]`` visits x_j's changes newest first.
+        # ``latest_change`` and the stable-row test read them.  ``stable_rows``
         # maps a row index to the row and the trail length at which
         # propagation last found that row implying nothing; ``stable_log``
         # holds, for every such mark, the trail length, the index and the
@@ -111,14 +113,6 @@ class Trail:
                 return ch
         raise KeyError(f"no change at state {state}")
 
-    def predecessor(self, state: StateId) -> StateId:
-        prev = INITIAL_STATE
-        for ch in self.changes:
-            if ch.state == state:
-                return prev
-            prev = ch.state
-        raise KeyError(f"no change at state {state}")
-
     # -- mutation ----------------------------------------------------------
 
     def _next_state(self, decision: bool) -> StateId:
@@ -136,6 +130,16 @@ class Trail:
         self.prior_stamps.append(self.stamp[j])
         self.changes.append(change)
         self.stamp[j] = len(self.changes)
+
+    def _exact(self, var: int, value: Rat) -> Rat:
+        """``value`` as an ``int`` when integral; ValueError unless it is an
+        ``int`` or a ``Fraction``."""
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(
+                f"variable {self.variables[var].name!r} gets bound {value!r}; "
+                "bounds must be exact (int or Fraction)"
+            )
+        return int_if_integral(value)
 
     def _check_tightens(self, var: int, kind: BoundKind, value: Rat) -> Ext:
         if kind is BoundKind.LOWER:
@@ -158,7 +162,7 @@ class Trail:
     def push_decision(self, var: int, kind: BoundKind, value: Rat) -> StateId:
         if self.variables[var].kind is VarKind.CONTINUOUS:
             raise ValueError("branching on a continuous variable is not allowed")
-        value = int_if_integral(value)
+        value = self._exact(var, value)
         old = self._check_tightens(var, kind, value)
         state = self._next_state(decision=True)
         self._apply(BoundChange(state, var, kind, value, old, None))
@@ -174,7 +178,7 @@ class Trail:
     ) -> StateId:
         if reason is None:
             raise ValueError("deduction requires a reason")
-        value = int_if_integral(value)
+        value = self._exact(var, value)
         old = self._check_tightens(var, kind, value)
         state = self._next_state(decision=False)
         self._apply(
@@ -240,11 +244,15 @@ class Trail:
     def latest_change(
         self, var: int, kind: BoundKind, upto: Optional[StateId] = None
     ) -> Optional[BoundChange]:
-        for ch in reversed(self.changes):
-            if upto is not None and ch.state > upto:
-                continue
-            if ch.var == var and ch.kind is kind:
+        """x_var's latest ``kind`` change, at or before ``upto`` if given;
+        visits only x_var's own changes, newest first."""
+        changes, prior = self.changes, self.prior_stamps
+        k = self.stamp[var]
+        while k:
+            ch = changes[k - 1]
+            if ch.kind is kind and (upto is None or ch.state <= upto):
                 return ch
+            k = prior[k - 1]
         return None
 
 
@@ -311,13 +319,6 @@ def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
             return INF
         total += a * bound
     return Fraction(total, scale)
-
-
-def global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    """C's min activity at the global bounds: ``scaled_global_min_activity``
-    divided by C's scale once."""
-    total = scaled_global_min_activity(C, variables)
-    return Fraction(total, C.int_scaled()[0]) if is_finite(total) else NEG_INF
 
 
 def scaled_global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:

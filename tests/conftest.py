@@ -7,14 +7,22 @@ from typing import Optional
 import pytest
 
 from cutlearn.model import (
+    BoundKind,
     LinearConstraint,
     Problem,
     Variable,
     VarKind,
     build_problem,
 )
-from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_inf
-from cutlearn.trail import StateId, Trail, activity
+from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_finite, is_inf
+from cutlearn.trail import (
+    INITIAL_STATE,
+    BoundChange,
+    StateId,
+    Trail,
+    activity,
+    scaled_global_min_activity,
+)
 
 F = Fraction
 
@@ -48,6 +56,40 @@ def infeasible_at(
     C: LinearConstraint, trail: Trail, state: Optional[StateId] = None
 ) -> bool:
     return max_activity(C, trail, state) < C.rhs
+
+
+def global_min_activity(C: LinearConstraint, variables) -> Ext:
+    """C's min activity at the global bounds: ``scaled_global_min_activity``
+    divided by C's scale once, NEG_INF if it is unbounded."""
+    total = scaled_global_min_activity(C, variables)
+    return Fraction(total, C.int_scaled()[0]) if is_finite(total) else NEG_INF
+
+
+# -- whole-trail scans the trail's history queries are tested against --------
+
+
+def reference_predecessor(trail: Trail, state: StateId) -> StateId:
+    """The state of the change just before the change at ``state`` on the
+    trail, INITIAL_STATE if there is none."""
+    prev = INITIAL_STATE
+    for ch in trail.changes:
+        if ch.state == state:
+            return prev
+        prev = ch.state
+    raise KeyError(f"no change at state {state}")
+
+
+def reference_latest_change(
+    trail: Trail, var: int, kind: BoundKind, upto: Optional[StateId] = None
+) -> Optional[BoundChange]:
+    """x_var's latest ``kind`` change at or before ``upto``, by a scan of
+    the whole trail from its end."""
+    for ch in reversed(trail.changes):
+        if upto is not None and ch.state > upto:
+            continue
+        if ch.var == var and ch.kind is kind:
+            return ch
+    return None
 
 
 # -- checked extended arithmetic for reference implementations ----------------

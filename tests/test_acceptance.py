@@ -315,7 +315,7 @@ def _reason_samples(count=1000, seed=1):
 
 
 def _propagates_tightly(red, r, t, state):
-    res = propagate_candidates(red, *box(t, t.predecessor(state)))
+    res = propagate_candidates(red, *box(t, StateId(state.level, state.index - 1)))
     for c in res.changes:
         if c.var == r:
             return is_integral(c.pre_rounding)

@@ -44,7 +44,6 @@ from cutlearn.trail import (
     RowReason,
     StateId,
     Trail,
-    global_min_activity,
 )
 
 from conftest import (
@@ -53,6 +52,7 @@ from conftest import (
     box,
     ext_add,
     ext_mul,
+    global_min_activity,
     max_activity,
     mbp5_system,
     mk,

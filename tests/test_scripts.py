@@ -6,6 +6,7 @@ deletes one of them breaks a script without breaking any other test.
 instances, and ``bench_pairs`` runs the benchmark briefly.
 """
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -43,6 +44,24 @@ def test_script_main_succeeds(name, argv, capsys):
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"analyze steps( [a-z-]+=\d+)+ results( [a-z_]+=\d+)+", last)
         assert " tight=" in last
+
+
+# sha256 of ``transcript.py --every 20``'s output.  A change that means to
+# change the search updates it and says so.
+TRANSCRIPT_EVERY_20_SHA256 = "caf1e2fe289c10f023f24e875960a5f942fcec83198ffb7df5f5445f2cd050f8"
+
+
+def test_transcript_is_unchanged(capsys):
+    """Every 20th sweep seed, the desk corpus and PHP(p, p - 1) give the
+    committed transcript: a refactor that is meant to keep the search
+    keeps every result, statistic, learned object and analysis."""
+    assert _load("transcript").main(["--every", "20"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TRANSCRIPT_EVERY_20_SHA256, (
+        "the transcript changed; diff the full output of "
+        "`PYTHONPATH=src python3 scripts/transcript.py` under this tree and "
+        "under the previous commit's to see which result or analysis moved"
+    )
 
 
 def test_bench_pairs_smoke(capsys):

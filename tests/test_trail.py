@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutlearn.model import BoundKind
+from cutlearn.model import BoundAtom, BoundDisjunction, BoundKind, Variable, VarKind
 from cutlearn.rationals import INF, NEG_INF, int_if_integral
 from cutlearn.trail import (
     INITIAL_STATE,
+    DisjunctionReason,
     RowReason,
     StateId,
     Trail,
@@ -21,6 +22,8 @@ from conftest import (
     max_activity,
     mk,
     reference_activity_bounds_max,
+    reference_latest_change,
+    reference_predecessor,
 )
 
 
@@ -40,8 +43,11 @@ def test_decision_and_deduction_numbering():
     s2 = t.push_deduction(1, BoundKind.UPPER, 0, RowReason(0, C))
     assert s2 == StateId(1, 1)
     assert t.change_at(s1).is_decision
-    assert t.predecessor(s2) == s1
-    assert t.predecessor(s0) == INITIAL_STATE
+    # The state just before (L, i) is (L, i - 1); for i = 0 that is
+    # (L, -1), after every lower level's change and before level L's.
+    assert StateId(s2.level, s2.index - 1) == s1
+    assert StateId(s0.level, s0.index - 1) == INITIAL_STATE
+    assert s0 < StateId(s1.level, s1.index - 1) < s1
 
 
 def test_tightening_enforced():
@@ -53,6 +59,20 @@ def test_tightening_enforced():
         t.push_decision(1, BoundKind.LOWER, F(1, 2))  # fractional for binary
     with pytest.raises(ValueError):
         t.push_deduction(1, BoundKind.LOWER, 1, None)  # deduction needs reason
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5, INF])
+def test_push_refuses_values_that_are_not_int_or_fraction(value):
+    vs = [
+        Variable(0, "z", VarKind.INTEGER, 0, 5),
+        Variable(1, "y", VarKind.CONTINUOUS, 0, 5),
+    ]
+    t = Trail(vs)
+    with pytest.raises(ValueError, match="variable 'z'"):
+        t.push_decision(0, BoundKind.LOWER, value)
+    with pytest.raises(ValueError, match="variable 'y'"):
+        t.push_deduction(1, BoundKind.LOWER, value, RowReason(0, mk({1: 1}, 1)))
+    assert not t.changes
 
 
 def test_bounds_at_reconstructs_history():
@@ -100,6 +120,101 @@ def test_push_backjump_roundtrip(moves):
         t.backjump(state)
         assert t.local_lb == lb
         assert t.local_ub == ub
+
+
+# -- history queries against whole-trail scans --------------------------------
+
+HISTORY_VARS = [
+    Variable(0, "x", VarKind.BINARY, 0, 1),
+    Variable(1, "z", VarKind.INTEGER, -3, 3),
+    Variable(2, "y", VarKind.CONTINUOUS, -2, 2),
+    Variable(3, "w", VarKind.BINARY, 0, 1),
+]
+HISTORY_ROW = mk({0: 1, 1: 1, 2: 1, 3: 1}, 0)
+HISTORY_DISJUNCTION = BoundDisjunction(
+    (BoundAtom(0, BoundKind.LOWER, 1), BoundAtom(3, BoundKind.LOWER, 1))
+)
+
+
+def _replay(changes):
+    """A fresh trail over HISTORY_VARS with ``changes`` pushed in order."""
+    t = Trail(HISTORY_VARS)
+    for ch in changes:
+        if ch.is_decision:
+            t.push_decision(ch.var, ch.kind, ch.new_value)
+        else:
+            t.push_deduction(ch.var, ch.kind, ch.new_value, ch.reason, ch.pre_rounding)
+    return t
+
+
+def _draw_push(data, t):
+    """Push one tightening decision or deduction drawn from the values
+    k/2, k in -4..4, that keep the variable's domain nonempty."""
+    j = data.draw(st.integers(0, len(HISTORY_VARS) - 1))
+    v, lo, hi = HISTORY_VARS[j], t.local_lb[j], t.local_ub[j]
+    kind = data.draw(st.sampled_from(list(BoundKind)))
+    values = [
+        F(k, 2)
+        for k in range(-4, 5)
+        if (lo < F(k, 2) <= hi if kind is BoundKind.LOWER else lo <= F(k, 2) < hi)
+        and (not v.is_integral or k % 2 == 0)
+    ]
+    if not values:
+        return
+    value = data.draw(st.sampled_from(values))
+    if data.draw(st.booleans()):
+        value = int_if_integral(value)
+    if v.is_integral and data.draw(st.booleans()):
+        t.push_decision(j, kind, value)
+    elif data.draw(st.booleans()):
+        t.push_deduction(j, kind, value, RowReason(0, HISTORY_ROW), value)
+    else:
+        t.push_deduction(j, kind, value, DisjunctionReason(0, HISTORY_DISJUNCTION))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_history_queries_match_whole_trail_scans(data):
+    """Over pushes and backjumps on binary, general-integer and continuous
+    variables, ``latest_change``, which follows x_var's own changes through
+    the stamps, finds the change a scan of the whole trail finds.  At
+    (L, i - 1), the arithmetic state before (L, i), ``bounds_at``,
+    ``latest_change`` and ``backjump`` agree with the same calls at the
+    predecessor a trail scan finds, and a backjump to (L, -1) leaves
+    exactly the changes of the levels below L."""
+    t = Trail(HISTORY_VARS)
+    queries = [(j, kind) for j in range(len(HISTORY_VARS)) for kind in BoundKind]
+    for _ in range(data.draw(st.integers(1, 20))):
+        if data.draw(st.integers(0, 3)) == 0:
+            levels = range(1, t.current_level + 1)
+            targets = [INITIAL_STATE] + [ch.state for ch in t.changes]
+            t.backjump(data.draw(st.sampled_from(targets + [StateId(L, -1) for L in levels])))
+        else:
+            _draw_push(data, t)
+        uptos = [None, INITIAL_STATE] + [ch.state for ch in t.changes]
+        uptos += [StateId(L, -1) for L in range(t.current_level + 2)]
+        for upto in uptos:
+            for j, kind in queries:
+                assert t.latest_change(j, kind, upto) is reference_latest_change(
+                    t, j, kind, upto
+                )
+
+    for ch in t.changes:
+        s = ch.state
+        before, pred = StateId(s.level, s.index - 1), reference_predecessor(t, s)
+        assert t.bounds_at(before) == t.bounds_at(pred)
+        for j, kind in queries:
+            assert t.latest_change(j, kind, before) is t.latest_change(j, kind, pred)
+        a, b = _replay(t.changes), _replay(t.changes)
+        a.backjump(before)
+        b.backjump(pred)
+        assert a.changes == b.changes and a.stamp == b.stamp
+        assert (a.local_lb, a.local_ub) == (b.local_lb, b.local_ub)
+    for L in range(t.current_level + 1):
+        a = _replay(t.changes)
+        a.backjump(StateId(L, -1))
+        assert a.changes == [ch for ch in t.changes if ch.state.level < L]
+        assert (a.local_lb, a.local_ub) == t.bounds_at(StateId(L, -1))
 
 
 def test_activity_bounds():
