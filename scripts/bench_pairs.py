@@ -10,15 +10,20 @@ pair gets a fresh seed (11, 12, ...).  Every run is printed with its
 every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` lists, come both
 sides' medians and quartiles, the pairs the change wins (a tie counts for
 neither side) and the relative change of the median next to the metric's
-``bound``, and one line that names the metrics whose median is worse than
-the parent's by more than their bound (``over bound: none`` if there are
-none).  With ``--claim METRIC`` one verdict line follows: the claim is met
-iff the change wins at least 9 of every 10 pairs on METRIC and its median
-is better than the parent's by more than the parent's interquartile range.
+``bound``; a line with each side's median ``attempted`` and the pooled
+least-squares slope of ``peak_rss_mb`` on ``attempted`` in KB per call
+(one slope over both sides' runs, each side about its own mean), so an RSS
+move can be read against the calls each side made; and one line that names
+the metrics whose median is worse than the parent's by more than their
+bound (``over bound: none`` if there are none).  With ``--claim METRIC``
+one verdict line follows: the claim is met iff the change wins at least 9
+of every 10 pairs on METRIC and its median is better than the parent's by
+more than the parent's interquartile range.
 The last line of standard output is all of it as one JSON object, the
 metrics over their bound under ``over_bound`` and the verdict under
-``claim``.  The exit status is 1 if any run was not correct or any metric
-is over its bound.
+``claim``, the median ``attempted`` under ``attempted`` and the slope
+under ``rss_kb_per_call``.  The exit status is 1 if any run was not
+correct or any metric is over its bound.
 """
 
 from __future__ import annotations
@@ -83,6 +88,22 @@ def summarize(metric: dict, runs: dict) -> dict:
     return out
 
 
+def rss_kb_per_call(runs: dict):
+    """The pooled least-squares slope of ``peak_rss_mb`` (MiB) on
+    ``attempted``, in KB (KiB) per call: one slope fitted to both sides'
+    runs, each side centred on its own means so that a shift between the
+    sides does not read as growth per call.  None if ``attempted`` never
+    varies within a side."""
+    sxy = sxx = 0.0
+    for side in SIDES:
+        xs = [r["attempted"] for r in runs[side]]
+        ys = [r["metrics"]["peak_rss_mb"]["value"] for r in runs[side]]
+        mx, my = statistics.fmean(xs), statistics.fmean(ys)
+        sxy += sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        sxx += sum((x - mx) ** 2 for x in xs)
+    return 1024 * sxy / sxx if sxx else None
+
+
 def claim_verdict(metric: dict, s: dict) -> dict:
     """Whether the change improves ``metric``, given its ``summarize``
     entry: it wins at least 9/10 of the pairs, and its median is better than
@@ -136,6 +157,7 @@ def main(argv=None) -> int:
     ok = all(r["correct"] for side in SIDES for r in runs[side])
     summary = {}
     over = []
+    attempted, slope = None, None
     if ok:
         for metric in end_to_end:
             s = summary[metric["name"]] = summarize(metric, runs)
@@ -147,6 +169,15 @@ def main(argv=None) -> int:
                 f"  {s['median_change_rel']:+.1%} (bound {s['bound']:.0%})"
                 + ("  OVER BOUND" if s["over_bound"] else "")
             )
+        attempted = {
+            side: statistics.median([r["attempted"] for r in runs[side]]) for side in SIDES
+        }
+        slope = rss_kb_per_call(runs)
+        print(
+            f"attempted: parent {attempted['parent']:.6g}  change {attempted['change']:.6g}"
+            "  peak_rss_mb on attempted: "
+            + ("n/a" if slope is None else f"{slope:.3g} KB per call")
+        )
         over = [name for name, s in summary.items() if s["over_bound"]]
         print(f"over bound: {', '.join(over) or 'none'}")
     else:
@@ -166,7 +197,8 @@ def main(argv=None) -> int:
             print(f"claim {args.claim}: NOT MET  a run was not correct")
     print(json.dumps({
         "workload": args.workload, "seconds": args.seconds, "correct": ok,
-        "runs": runs, "summary": summary, "over_bound": over, "claim": claim,
+        "runs": runs, "summary": summary, "attempted": attempted,
+        "rss_kb_per_call": slope, "over_bound": over, "claim": claim,
     }))
     return 0 if ok and not over else 1
 

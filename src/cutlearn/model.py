@@ -145,6 +145,24 @@ class LinearConstraint:
         terms = tuple((j, c.numerator * (scale // c.denominator)) for j, c in self.terms)
         return scale, terms, self.rhs.numerator * (scale // self.rhs.denominator)
 
+    def global_span(self, variables: Sequence[Variable]) -> Ext:
+        """The row's widest span max_j |a_j|·(global ub_j − global lb_j) over
+        ``variables``, INF if one of those bounds is infinite.  It is cached
+        on the row with the ``variables`` object it was computed for, and
+        reused only for that same object: a row can be used with others."""
+        cached = self.__dict__.get("_span")
+        if cached is not None and cached[0] is variables:
+            return cached[1]
+        span = ZERO
+        for j, a in self.terms:
+            v = variables[j]
+            if not (is_finite(v.global_lb) and is_finite(v.global_ub)):
+                span = INF
+                break
+            span = max(span, abs(a) * (v.global_ub - v.global_lb))
+        self.__dict__["_span"] = (variables, span)
+        return span
+
     def with_origin(self, origin: str) -> "LinearConstraint":
         """The same row under another ``origin``, with its integer-scaled
         form if that is computed already."""

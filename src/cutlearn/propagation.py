@@ -44,11 +44,21 @@ def propagate_candidates(
 
     The row's activity is computed once; each term's residual (the max
     activity of the other terms) then costs O(1).
+
+    With every max contribution finite, x_j tightens iff its local span
+    |a_j|·(ub_j − lb_j) exceeds the slack max activity − rhs, rounded or
+    not: an integral x_j has integral bounds, and ceil(pre) > lb_j iff
+    pre > lb_j.  A local span never exceeds its global span, so a row whose
+    slack is at least ``C.global_span(variables)`` implies nothing, and
+    its per-term loop is skipped (SCIP's max-activity-delta test).
     """
     finite, infinite, contribs = activity(C, lb, ub)
-    if infinite == 0 and finite < C.rhs:
-        return CONFLICT
-    if infinite > 1:
+    if infinite == 0:
+        if finite < C.rhs:
+            return CONFLICT
+        if finite - C.rhs >= C.global_span(variables):
+            return NO_CHANGE
+    elif infinite > 1:
         return NO_CHANGE
     candidates: List[Candidate] = []
     for (j, a), contrib in zip(C.terms, contribs):

@@ -2,7 +2,7 @@
 
 Finite values are ``int`` or ``fractions.Fraction``.  A value is infinite
 exactly when it is a float, and the only floats are the sentinels ``INF``
-and ``NEG_INF``, so ``is_inf`` is a type test rather than two comparisons.
+and ``NEG_INF``, so ``is_finite`` is a type test rather than two comparisons.
 That holds because every other float is refused where values enter the
 model: ``Variable`` refuses finite float bounds and empty domains, and rows
 (``LinearConstraint.from_dict``, ``build_problem``), objectives and bound
@@ -33,10 +33,6 @@ Ext = Union[Fraction, float]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def is_inf(x: Ext) -> bool:
-    return isinstance(x, float)
 
 
 def is_finite(x: Ext) -> bool:

@@ -14,7 +14,7 @@ from cutlearn.model import (
     VarKind,
     build_problem,
 )
-from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_finite, is_inf
+from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_finite
 from cutlearn.trail import (
     INITIAL_STATE,
     BoundChange,
@@ -105,10 +105,10 @@ class InfinityArithmeticError(ArithmeticError):
 
 
 def ext_add(a: Ext, b: Ext) -> Ext:
-    if is_inf(a) or is_inf(b):
-        if is_inf(a) and is_inf(b) and a != b:
+    if not (is_finite(a) and is_finite(b)):
+        if not is_finite(a) and not is_finite(b) and a != b:
             raise InfinityArithmeticError("inf - inf")
-        return a if is_inf(a) else b
+        return b if is_finite(a) else a
     return a + b
 
 
@@ -122,7 +122,7 @@ def ext_neg(a: Ext) -> Ext:
 
 def ext_mul(a: Rat, b: Ext) -> Ext:
     """Multiply a finite rational by an extended value."""
-    if is_inf(b):
+    if not is_finite(b):
         if a == 0:
             raise InfinityArithmeticError("0 * inf")
         return b if a > 0 else ext_neg(b)

@@ -170,7 +170,7 @@ def test_float_value_rejected(build, x):
     """Only a variable's bound may be a float, and only INF or NEG_INF.
     A finite float would enter as binary-float residue (0.1 as
     3602879701896397/36028797018963968), and an infinite one would be read
-    as an infinite bound by ``is_inf``'s type test."""
+    as an infinite bound by ``is_finite``'s type test."""
     with pytest.raises(ValueError, match="float"):
         build(x)
 

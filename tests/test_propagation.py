@@ -554,3 +554,81 @@ def test_candidates_match_quadratic_reference(case, data):
             rest = residual(finite, infinite, contrib)
             expected = reference_residual_max(C, j, lb, ub)
             assert rest == (expected if is_finite(expected) else None)
+
+
+# -- slack against the widest global span ----------------------------------------
+
+
+def reference_global_span(C, variables):
+    """max_j |a_j|·(global ub_j − global lb_j), INF if any is unbounded."""
+    return max(
+        ext_add(ext_mul(abs(a), v.global_ub), ext_mul(-abs(a), v.global_lb))
+        for v, a in ((variables[j], a) for j, a in C.terms)
+    )
+
+
+@st.composite
+def rows_with_slack(draw):
+    """Variables of every kind, some with an infinite global bound, and a row
+    over them whose slack at the global bounds (max activity − rhs) is
+    drawn around its widest global span, so that the span test both fires
+    and falls through."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    variables = []
+    for j in range(n):
+        kind = draw(st.sampled_from(list(VarKind)))
+        if kind is VarKind.BINARY:
+            lb, ub = F(0), F(1)
+        else:
+            lb = F(draw(st.integers(-2, 1)))
+            ub = lb + draw(st.integers(0, 3))
+            if kind is VarKind.CONTINUOUS:
+                lb -= F(draw(st.integers(0, 2)), 3)
+            infinite = draw(st.sampled_from([None, None, None, "lb", "ub"]))
+            if infinite == "lb":
+                lb = NEG_INF
+            elif infinite == "ub":
+                ub = INF
+        variables.append(Variable(j, f"v{j}", kind, lb, ub))
+    terms = {
+        j: F(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+        for j in draw(st.sets(st.integers(0, n - 1), min_size=1))
+    }
+    C = mk(terms, 0)
+    top = max_activity(C, Trail(variables))
+    span = reference_global_span(C, variables)
+    if not is_finite(top):
+        return variables, mk(terms, F(draw(st.integers(-6, 6)), draw(st.integers(1, 2))))
+    slack = F(draw(st.integers(0, 8)), draw(st.integers(1, 2)))
+    if is_finite(span):
+        slack = draw(st.sampled_from([slack, span, span + slack, span - F(1, 2), 2 * span]))
+    return variables, mk(terms, top - slack)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_with_slack(), st.data())
+def test_span_test_matches_reference(case, data):
+    """Skipping a row whose slack covers its widest global span deduces what
+    the quadratic reference does, at every state of a trail of decisions."""
+    variables, C = case
+    t = Trail(variables)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        decision = draw_decision(data, t)
+        if decision is not None:
+            t.push_decision(*decision)
+    assert C.global_span(t.variables) == reference_global_span(C, variables)
+    for state in [None, INITIAL_STATE] + [ch.state for ch in t.changes]:
+        assert propagate_candidates(C, *box(t, state)) == reference_candidates(C, t, state)
+
+
+def test_span_is_kept_per_variables_object():
+    """One row object under two variable tuples with different global bounds:
+    the span cached for the first must not be read for the second."""
+    C = mk({0: 1, 1: 1}, 0)  # x0 + x1 >= 0
+    narrow = Trail(binary_vars(2))  # slack 2, span 1: implies nothing
+    wide = Trail([Variable(j, f"z{j}", VarKind.INTEGER, F(-3), F(1)) for j in range(2)])
+    # slack 2, span 4: z0 >= -1 and z1 >= -1
+    for t in (narrow, wide, narrow, wide):
+        assert propagate_candidates(C, *box(t)) == reference_candidates(C, t)
+    assert propagate_candidates(C, *box(wide)).changes
+    assert C.global_span(narrow.variables) == 1 and C.global_span(wide.variables) == 4

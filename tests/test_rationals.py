@@ -14,7 +14,6 @@ from cutlearn.rationals import (
     format_rational,
     frac_part,
     is_finite,
-    is_inf,
     is_integral,
     parse_ext,
     parse_rational,
@@ -46,7 +45,6 @@ def test_infinite_exactly_when_float(x):
     """The type test agrees with comparing against both sentinels, and
     ``is_integral`` answers as it did when built on that comparison."""
     infinite = x == INF or x == NEG_INF
-    assert is_inf(x) == infinite
     assert is_finite(x) == (not infinite)
     assert is_integral(x) == (not infinite and x.denominator == 1)
 

@@ -117,6 +117,43 @@ def test_bench_pairs_exits_1_over_a_bound(tmp_path, monkeypatch, capsys, change_
     assert json.loads(lines[-1])["over_bound"] == over
 
 
+def test_bench_pairs_reads_rss_against_calls(tmp_path, monkeypatch, capsys):
+    """Each side's median ``attempted`` and the pooled slope of
+    ``peak_rss_mb`` on it: both sides grow 0.5 KB per call from different
+    intercepts, and the slope is 0.5, not the 2.1 of one line through all
+    four runs."""
+    bench_pairs = _load("bench_pairs")
+    benchmark = (SCRIPTS.parent / "BENCHMARK.json").read_text()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(benchmark)
+    attempted = {("parent", 11): 1000, ("parent", 12): 3000,
+                 ("change", 11): 5000, ("change", 12): 7000}
+    intercept = {"parent": 20.0, "change": 28.0}
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in json.loads(benchmark)["end_to_end"]}
+        calls = attempted[checkout.name, seed]
+        metrics["peak_rss_mb"] = {"value": intercept[checkout.name] + calls * 0.5 / 1024}
+        return {"correct": True, "attempted": calls, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "twophase", "--pairs", "2"]
+    bench_pairs.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == (
+        "attempted: parent 2000  change 6000  peak_rss_mb on attempted: 0.5 KB per call"
+    )
+    result = json.loads(lines[-1])
+    assert result["attempted"] == {"parent": 2000, "change": 6000}
+    assert result["rss_kb_per_call"] == pytest.approx(0.5)
+    # Runs that all make the same number of calls give no slope.
+    assert bench_pairs.rss_kb_per_call(
+        {side: [result["runs"][side][0]] * 2 for side in ("parent", "change")}
+    ) is None
+
+
 def _summary(parent, change):
     bench_pairs = _load("bench_pairs")
     runs = {
