@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .cuts import ReductionStrategy
 from .fileio import ParseError, emit_result_stats, parse_native, parse_opb
-from .model import Problem, violation
-from .oracle import OracleError, oracle_optimum, validate_learned
+from .model import Problem
+from .oracle import LIMIT_REASON, OracleError, check_answer, oracle_optimum
 from .rationals import format_rational
 from .search import (
     SolveResult,
@@ -35,20 +35,16 @@ def _load_problem(path: str) -> Problem:
     return parse_native(text)
 
 
-def _save(write: Callable[[str, object], None], path: str, payload) -> bool:
-    """``write(path, payload)``; False, with the error reported, if the
-    path cannot be written."""
+def _write_stats(path: str, result: SolveResult) -> bool:
+    """Write ``result``'s stats to ``path``; False, with the error reported,
+    if the path cannot be written."""
     try:
-        write(path, payload)
+        with open(path, "w") as fh:
+            fh.write(emit_result_stats(result) + "\n")
     except OSError as exc:
         print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
         return False
     return True
-
-
-def _write_stats(path: str, result: SolveResult) -> None:
-    with open(path, "w") as fh:
-        fh.write(emit_result_stats(result) + "\n")
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
@@ -120,7 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _cmd_solve(problem: Problem, config: SolverConfig, args) -> int:
     result = solve(problem, config)
     _report(result)
-    if args.stats_json and not _save(_write_stats, args.stats_json, result):
+    if args.stats_json and not _write_stats(args.stats_json, result):
         return EXIT_INPUT_ERROR
     return EXIT_LIMIT if result.status == "limit" else EXIT_OK
 
@@ -129,40 +125,29 @@ def _cmd_check(problem: Problem) -> int:
     result = solve(problem)
     try:
         truth = oracle_optimum(problem)
-        for obj in result.learned:
-            if not validate_learned(problem, obj):
-                print(f"check: INVALID learned object {obj}", file=sys.stderr)
-                return EXIT_INPUT_ERROR
+        reason = check_answer(problem, result, truth)
     except OracleError as exc:
         print(f"check: oracle refused: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if result.status == "limit":
+    if reason == LIMIT_REASON:
         print("check: solver hit a limit; no verdict")
         return EXIT_LIMIT
-    solver_status = result.status
-    oracle_status = "optimal" if truth.status == "optimal" else "infeasible"
-    bad_witness = (
-        violation(problem, result.witness) if solver_status == "optimal" else None
-    )
-    agree = bad_witness is None and solver_status == oracle_status and (
-        solver_status != "optimal" or result.objective == truth.value
-    )
+    oracle_value = truth.value if problem.objective is not None else None
     print(
-        f"check: solver={solver_status}"
+        f"check: solver={result.status}"
         + (f" value={format_rational(result.objective)}" if result.objective is not None else "")
-        + f" oracle={oracle_status}"
-        + (f" value={format_rational(truth.value)}" if truth.value is not None else "")
-        + (" AGREE" if agree else " DISAGREE")
-        + (f" witness: {bad_witness}" if bad_witness is not None else "")
+        + f" oracle={truth.status}"
+        + (f" value={format_rational(oracle_value)}" if oracle_value is not None else "")
+        + (" AGREE" if reason is None else f" DISAGREE {reason}")
     )
-    return EXIT_OK if agree else EXIT_INPUT_ERROR
+    return EXIT_OK if reason is None else EXIT_INPUT_ERROR
 
 
 def _cmd_twophase(problem: Problem, config: SolverConfig, args) -> int:
     r1, r2, _ = run_two_phase(problem, config)
     print("phase1 " + emit_result_stats(r1))
     print("phase2 " + emit_result_stats(r2))
-    if args.stats_json and not _save(_write_stats, args.stats_json, r2):
+    if args.stats_json and not _write_stats(args.stats_json, r2):
         return EXIT_INPUT_ERROR
     if r1.status == "limit" or r2.status == "limit":
         return EXIT_LIMIT

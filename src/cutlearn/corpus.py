@@ -165,6 +165,36 @@ def pigeonhole(p: int, h: int) -> Problem:
     return build_problem(variables, rows)
 
 
+def parity(n: int, k: int) -> Problem:
+    """``sum 2 x_i = 2k + 1`` over n binaries: infeasible, since the left
+    side is even, yet propagation alone cannot see it."""
+    variables = [
+        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(n)
+    ]
+    return build_problem(
+        variables, [({i: Fraction(2) for i in range(n)}, "=", Fraction(2 * k + 1))]
+    )
+
+
+def mknap(seed: int, n: int = 14, m: int = 2) -> Problem:
+    """Multidimensional knapsack: m capacity rows over n binaries, drawn one
+    row after the other, each with weights 1-9 and
+    ``sum w_i x_i <= floor(sum w_i / 2)``; then n profits 1-9, and minimize
+    ``-sum p_i x_i``."""
+    rng = random.Random(seed)
+    variables = [
+        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(n)
+    ]
+    rows = []
+    for _ in range(m):
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        rows.append(
+            (dict(enumerate(map(Fraction, weights))), "<=", Fraction(sum(weights) // 2))
+        )
+    objective = {i: Fraction(-rng.randint(1, 9)) for i in range(n)}
+    return build_problem(variables, rows, objective)
+
+
 def desk_corpus(size: int = 20, base_seed: int = 1234) -> List[Problem]:
     """Fixed mixed corpus for the two-phase experiment.
 

@@ -6,7 +6,7 @@ the continuous variables.  The box is enumerated in ``int``s against rows
 scaled to integer coefficients, so a purely integral row costs an integer
 dot product per point; results are still exact ``Fraction``s.  This module
 deliberately shares no propagation or cut code with the solver so it can
-certify the solver's output.
+certify the solver's output, whole answers with ``check_answer``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .model import (
     LinearConstraint,
     Problem,
     VarKind,
+    violation,
 )
 from .rationals import ONE, ZERO, Rat, is_finite
 
@@ -393,3 +394,37 @@ def _validate_disjunction(box: _IntegralBox, learned: BoundDisjunction) -> bool:
         if s_max is None or s_max > 0:
             return False
     return True
+
+
+LIMIT_REASON = "the solver hit a limit"
+
+
+def check_answer(
+    problem: Problem, result, truth: Optional[OracleOptimum] = None
+) -> Optional[str]:
+    """None if ``result``, a solve of ``problem``, agrees with the oracle,
+    else the first broken rule, in this order: every learned object is
+    valid (even at a limit); the status is not ``limit`` (``LIMIT_REASON``);
+    it is the oracle's; the objective is None without a model objective and
+    the oracle's value with one; an optimal witness satisfies the model.
+    ``truth`` is computed only when not passed.  Reads only ``status``,
+    ``objective``, ``witness`` and ``learned``; raises ``OracleError`` on an
+    instance the oracle refuses.
+    """
+    for obj in result.learned:
+        if not validate_learned(problem, obj):
+            return f"invalid learned object {obj}"
+    if result.status == "limit":
+        return LIMIT_REASON
+    if truth is None:
+        truth = oracle_optimum(problem)
+    if result.status != truth.status:
+        return f"status {result.status}, oracle {truth.status}"
+    want = truth.value if problem.objective is not None else None
+    if result.objective != want:
+        return f"objective {result.objective}, oracle {want}"
+    if result.status == "optimal":
+        bad = violation(problem, result.witness or ())
+        if bad is not None:
+            return f"witness: {bad}"
+    return None

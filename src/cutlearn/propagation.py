@@ -12,7 +12,6 @@ from .trail import (
     Bounds,
     DisjunctionReason,
     RowReason,
-    StateId,
     Trail,
     activity,
     residual,
@@ -110,7 +109,6 @@ class FixpointResult(NamedTuple):
     conflict: bool
     # For conflicts: ("row" | "disjunction", index within the given list).
     source: Optional[Tuple[str, int]] = None
-    state: Optional[StateId] = None
     num_changes: int = 0
     # True when ``max_rounds`` stopped the loop before a fixpoint.
     capped: bool = False
@@ -152,7 +150,7 @@ def propagate_fixpoint(
             result = propagate_candidates(row, variables, lb, ub)
             if result.conflict:
                 return FixpointResult(
-                    True, ("row", i), trail.current_state, num_changes
+                    True, ("row", i), num_changes
                 )
             if result.changes:
                 # A row has one term per variable, so it gives at most one
@@ -173,7 +171,7 @@ def propagate_fixpoint(
             res = propagate_disjunction(dis, trail)
             if res.conflict:
                 return FixpointResult(
-                    True, ("disjunction", i), trail.current_state, num_changes
+                    True, ("disjunction", i), num_changes
                 )
             if res.change is not None:
                 var, kind, value = res.change

@@ -50,9 +50,6 @@ class SolverConfig:
     node_limit: int = 10_000
     # Conflicts analyzed at most per solve; 0 turns learning off.
     conflict_limit: int = 1_000
-    # "solve": learn and use; "generate": learn but ignore (phase 1).
-    mode: str = "solve"
-    initial_learned: Tuple[LearnedObject, ...] = ()
     # Invoked with (AnalysisResult, Trail) right after each successful
     # analysis, while the trail still shows the conflicting subproblem.
     on_analysis: Optional[Callable[[AnalysisResult, Trail], None]] = None
@@ -62,8 +59,6 @@ class SolverConfig:
             raise ValueError("node limit must be positive")
         if self.conflict_limit < 0:
             raise ValueError("conflict limit must be 0 or more")
-        if self.mode not in ("solve", "generate"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -274,9 +269,18 @@ class _Decision:
 
 
 class _Solver:
-    def __init__(self, problem: Problem, config: SolverConfig):
+    def __init__(
+        self,
+        problem: Problem,
+        config: SolverConfig,
+        *,
+        generate: bool = False,
+        installed: Sequence[LearnedObject] = (),
+    ):
         self.problem = problem
         self.config = config
+        self.generate = generate
+        self.installed = tuple(installed)
         self.trail = Trail(problem.variables)
         self.rows: List[LinearConstraint] = list(problem.constraints)
         self.disjunctions: List[BoundDisjunction] = []  # all learned
@@ -304,7 +308,7 @@ class _Solver:
         self.cutoff_terms = tuple((j, -c) for j, c in problem.objective or ())
         self._used_rows: Set[int] = set()
         self._used_dis: Set[int] = set()
-        for extra in config.initial_learned:
+        for extra in self.installed:
             self._install(extra)
 
     # -- learned-object bookkeeping ---------------------------------------
@@ -353,14 +357,14 @@ class _Solver:
     def _handle_conflict(self, source: Tuple[str, int]) -> bool:
         """Act on a conflict below the root; False when the search is over.
 
-        In "solve" mode a learned object is installed, recorded and
-        backjumped to, and global infeasibility ends the search.  Every
+        Unless ``generate`` is set, a learned object is installed, recorded
+        and backjumped to, and global infeasibility ends the search.  Every
         other case backtracks chronologically.
         """
         out = self._analyze(source)
         if out is None:
             return self._chronological()
-        if self.config.mode == "generate":
+        if self.generate:
             # Phase 1 only records what it learns and does not stop at
             # global infeasibility: its tree stays the same across strategies.
             if out.outcome == "learned":
@@ -498,7 +502,7 @@ class _Solver:
         self.stats.learned_linear = linear
         self.stats.learned_disjunctions = len(self.learned) - linear
         lengths = []
-        for obj in self.learned + list(self.config.initial_learned):
+        for obj in self.learned + list(self.installed):
             if isinstance(obj, LinearConstraint):
                 lengths.append(len(obj))
             else:
@@ -528,13 +532,7 @@ def run_two_phase(
     re-solves with those objects installed as initial rows/disjunctions.
     """
     config = config or SolverConfig()
-    gen_cfg = replace(config, mode="generate", initial_learned=())
-    result1 = solve(problem, gen_cfg)
-    exploit_cfg = replace(
-        config,
-        mode="solve",
-        conflict_limit=0,
-        initial_learned=tuple(result1.learned),
-    )
-    result2 = solve(problem, exploit_cfg)
+    result1 = _Solver(problem, config, generate=True).run()
+    exploit_cfg = replace(config, conflict_limit=0)
+    result2 = _Solver(problem, exploit_cfg, installed=result1.learned).run()
     return result1, result2, list(result1.learned)

@@ -18,6 +18,7 @@ from cutlearn.cli import (
 )
 from cutlearn.cuts import ReductionStrategy
 from cutlearn.fileio import parse_native, print_native
+from cutlearn.model import LinearConstraint
 from cutlearn.corpus import pigeonhole, random_mbp_problem
 from cutlearn.oracle import validate_learned
 from cutlearn.search import SolverConfig, solve
@@ -145,6 +146,42 @@ def test_check_rejects_an_infeasible_witness(
     out = capsys.readouterr().out
     assert "value=4 oracle=optimal value=4 DISAGREE" in out
     assert reason in out
+
+
+@pytest.mark.parametrize("rhs, code", [(-6, EXIT_LIMIT), (100, EXIT_INPUT_ERROR)])
+def test_check_at_a_limit(tmp_path, capsys, monkeypatch, rhs, code):
+    """At a limit ``check`` gives no verdict (exit 2) unless a learned
+    object is invalid, which is a disagreement (exit 1)."""
+    problem = random_mbp_problem(52)
+    result = solve(problem)
+    (row,) = result.learned
+    learned = (LinearConstraint(row.terms, F(rhs), row.origin),)
+    limit = dataclasses.replace(result, status="limit", learned=learned)
+    monkeypatch.setattr(cli, "solve", lambda _problem: limit)
+    path = _write(tmp_path, "p.txt", print_native(problem))
+    assert main(["check", path]) == code
+    out = capsys.readouterr().out
+    if code == EXIT_LIMIT:
+        assert out == "check: solver hit a limit; no verdict\n"
+    else:
+        assert "=limit value=4 oracle=optimal value=4 DISAGREE invalid learned object" in out
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("a.txt", "var x binary\nvar y binary\ncon c1: x + y >= 1\n"),
+        ("a.opb", "+1 x1 +1 x2 >= 1 ;\n"),
+    ],
+    ids=["txt", "opb"],
+)
+def test_check_agrees_without_objective(tmp_path, capsys, name, text):
+    """A feasible model without an objective: the oracle's optimum carries
+    value 0 and the solver's none, which is agreement."""
+    path = _write(tmp_path, name, text)
+    assert main(["check", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "solver=optimal oracle=optimal AGREE" in out
 
 
 def test_check_infeasible(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The enumeration/projection oracle against direct brute force."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -18,17 +19,21 @@ from cutlearn.model import (
     build_problem,
     evaluate,
 )
+from cutlearn.corpus import random_mbp_problem
 from cutlearn.oracle import (
     FM_ROW_CAP,
+    LIMIT_REASON,
     MAX_ASSIGNMENTS,
     OracleError,
     OracleOptimum,
+    check_answer,
     enumerate_feasible,
     fm_eliminate,
     oracle_optimum,
     validate_learned,
 )
 from cutlearn.rationals import INF, NEG_INF
+from cutlearn.search import solve
 
 import oracle_reference as ref
 from conftest import F, binary_problem, binary_vars, mk
@@ -251,6 +256,74 @@ def test_validate_on_infeasible_problem_is_vacuous():
 
 fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 nonzero_fracs = fracs.filter(bool)
+
+
+# -- whole answers ---------------------------------------------------------------
+
+
+def _raised_until_invalid(problem, row):
+    """``row`` with its rhs raised by 1 until the oracle rejects it."""
+    while validate_learned(problem, row):
+        row = LinearConstraint(row.terms, row.rhs + 1, row.origin)
+    return row
+
+
+def _answer_mutations():
+    """(problem, mutated result, the prefix its reason must start with).
+
+    Each mutation breaks exactly one rule of ``check_answer``, so a copy of
+    it that skips any one rule returns None, or another rule's reason, on
+    at least one of them.  random_mbp_problem(52): optimum 4 at x1, x2, x3,
+    y1 = 1, 0, 0, 3/2, with one learned row."""
+    mbp = random_mbp_problem(52)
+    good = solve(mbp)
+    (row,) = good.learned
+    bad_row = (_raised_until_invalid(mbp, row),)
+    no_objective = binary_problem(2, [({0: 1, 1: 1}, 1)])
+    feasible = solve(no_objective)
+    infeasible = binary_problem(1, [({0: 1}, 1), ({0: -1}, 0)])
+    proof = solve(infeasible)
+
+    def moved(var, value):
+        witness = list(good.witness)
+        witness[var] = value
+        return dataclasses.replace(good, witness=tuple(witness))
+
+    change = dataclasses.replace
+    return [
+        (mbp, change(good, learned=bad_row), "invalid learned object "),
+        (mbp, change(good, status="limit", learned=bad_row), "invalid learned object "),
+        (mbp, change(good, status="limit"), LIMIT_REASON),
+        (mbp, change(good, status="infeasible"), "status infeasible, oracle optimal"),
+        (infeasible, change(proof, status="optimal"), "status optimal, oracle infeasible"),
+        (mbp, change(good, objective=good.objective + 1), "objective 5, oracle 4"),
+        (mbp, change(good, objective=good.objective - 1), "objective 3, oracle 4"),
+        (no_objective, change(feasible, objective=0), "objective 0, oracle None"),
+        (mbp, moved(3, F(4)), "witness: y1 = 4 outside [0, 3]"),
+        (mbp, moved(0, F(1, 2)), "witness: x1 = 1/2 is not integral"),
+        (mbp, moved(3, F(0)), "witness: row 2 violated"),
+    ]
+
+
+def test_check_answer_accepts_correct_answers():
+    """An optimal answer with a learned row, an objective-free feasible one
+    (the oracle reports value 0 there, the solver None) and an infeasible
+    one all agree, with and without a precomputed optimum."""
+    for problem in (
+        random_mbp_problem(52),
+        binary_problem(2, [({0: 1, 1: 1}, 1)]),
+        binary_problem(1, [({0: 1}, 1), ({0: -1}, 0)]),
+    ):
+        result = solve(problem)
+        assert check_answer(problem, result) is None
+        assert check_answer(problem, result, oracle_optimum(problem)) is None
+
+
+def test_check_answer_names_the_first_broken_rule():
+    for problem, result, prefix in _answer_mutations():
+        for truth in (None, oracle_optimum(problem)):
+            reason = check_answer(problem, result, truth)
+            assert reason is not None and reason.startswith(prefix), (prefix, reason)
 
 
 @st.composite

@@ -73,7 +73,7 @@ def test_fixpoint_soundness_binary(coef_rows, rhs):
     ]
     if res.conflict:
         assert not feasible
-        assert res.source is not None and res.state == t.current_state
+        assert res.source is not None
     else:
         for p in feasible:
             assert in_box(p, t.local_lb, t.local_ub)
@@ -251,7 +251,7 @@ def reference_fixpoint(trail, rows, disjunctions=(), max_rounds=200):
                 result = propagate_candidates(row, *box(trail))
                 if result.conflict:
                     return FixpointResult(
-                        True, ("row", i), trail.current_state, num_changes
+                        True, ("row", i), num_changes
                     )
                 applied = False
                 for cand in result.changes:
@@ -277,7 +277,7 @@ def reference_fixpoint(trail, rows, disjunctions=(), max_rounds=200):
             res = propagate_disjunction(dis, trail)
             if res.conflict:
                 return FixpointResult(
-                    True, ("disjunction", i), trail.current_state, num_changes
+                    True, ("disjunction", i), num_changes
                 )
             if res.change is not None:
                 var, kind, value = res.change

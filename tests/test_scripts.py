@@ -28,7 +28,10 @@ def _load(name):
     "name, argv",
     [
         ("two_phase_experiment", ["--size", "2", "--quiet"]),
-        ("validate_random", ["--binary", "3", "--mixed", "2", "--integer", "2"]),
+        (
+            "validate_random",
+            ["--binary", "3", "--mixed", "2", "--integer", "2", "--mknap", "1"],
+        ),
         (
             "transcript",
             ["--binary", "4", "--mixed", "2", "--integer", "2", "--every", "2",
