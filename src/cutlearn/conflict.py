@@ -29,26 +29,21 @@ from .model import (
     BoundAtom,
     BoundDisjunction,
     BoundKind,
+    Bounds,
     LearnedObject,
     LinearConstraint,
     Variable,
     VarKind,
     complement,
     denormalize,
+    global_contributions,
+    infeasible_over,
     literal_variables,
     normalize_for_reduction,
 )
 from .propagation import is_tight_propagation
-from .rationals import INF, ONE, Ext, is_finite
-from .trail import (
-    INITIAL_STATE,
-    BoundChange,
-    Bounds,
-    RowReason,
-    StateId,
-    Trail,
-    activity_bounds_max,
-)
+from .rationals import INF, ONE, Ext
+from .trail import INITIAL_STATE, BoundChange, RowReason, StateId, Trail
 
 
 @dataclass(frozen=True)
@@ -77,34 +72,23 @@ class _ActivityWalk:
     and integral bounds are ``int``s, so on integral data all its sums are
     ``int`` sums; a fractional continuous bound stays a Fraction.
     Its tests compare quantities that all carry the same positive scale, so
-    they answer as on C itself.  The walk starts at the global bounds, set up
-    in one pass over C's terms: the exact sum of the finite max contributions
-    and the variables whose contribution is infinite.  ``apply`` updates it
-    in O(1) per change on a variable of C.  With ``bottoms`` it also keeps,
-    for ``propagates``, a_j times the bound that minimizes each term.
-    Infinite values are None.
+    they answer as on C itself.  The walk starts at the global bounds, read
+    from ``global_contributions``: the exact sum of the finite max
+    contributions, the variables whose max contribution is infinite, and
+    each term's max and min contribution, the latter for ``propagates``.
+    ``apply`` updates it in O(1) per change on a variable of C.  Infinite
+    values are None.
     """
 
-    def __init__(self, C: LinearConstraint, variables: Sequence[Variable], bottoms: bool):
+    def __init__(self, C: LinearConstraint, variables: Sequence[Variable]):
         _, terms, self.rhs = C.int_scaled()
         self.coef = dict(terms)
-        top = self.top = {}  # j -> a_j times the maximizing bound
-        bottom = self.bottom = {}  # j -> a_j times the minimizing bound
-        unbounded = self.unbounded = set()  # j whose top is infinite
+        top, bottom = global_contributions(C, variables)
+        self.finite = top.finite
+        # j -> a_j times the bound that maximizes (minimizes) the term
+        self.top, self.bottom = top.contribs, bottom.contribs
+        self.unbounded = {j for j, t in self.top.items() if t is None}
         self.widest = self.span = None  # the widest span's j and width, once known
-        finite = 0
-        for j, a in terms:
-            v = variables[j]
-            hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
-            if is_finite(hi):
-                top[j] = a * hi
-                finite += top[j]
-            else:
-                top[j] = None
-                unbounded.add(j)
-            if bottoms:
-                bottom[j] = a * lo if is_finite(lo) else None
-        self.finite = finite
 
     def apply(self, ch: BoundChange) -> bool:
         """Apply one change; False if its variable is not in C."""
@@ -157,7 +141,7 @@ class _ActivityWalk:
 
 def min_infeasible_state(C: LinearConstraint, trail: Trail) -> Optional[StateId]:
     """Lexicographically smallest state at which C's max activity < rhs."""
-    walk = _ActivityWalk(C, trail.variables, bottoms=False)
+    walk = _ActivityWalk(C, trail.variables)
     if walk.infeasible():
         return INITIAL_STATE
     for ch in trail.changes:
@@ -182,7 +166,7 @@ def is_asserting(
         conflict_level = trail.current_level
     if conflict_level <= 0:
         return None
-    walk = _ActivityWalk(C, trail.variables, bottoms=True)
+    walk = _ActivityWalk(C, trail.variables)
     propagates = walk.propagates()
     first = INITIAL_STATE if propagates else None
     level = 0
@@ -248,7 +232,7 @@ def reduce_mbp(
             )
         used_rows.add(ch.reason.index)
         work = resolve(work, ch.reason.row, c)
-        if activity_bounds_max(work, pred_lb, pred_ub) < work.rhs:
+        if infeasible_over(work, pred_lb, pred_ub):
             return EarlierConflict(work)
     # Weaken any remaining (relaxable) continuous terms so the binary
     # reduction sees a pure 0/1 constraint.
@@ -397,7 +381,7 @@ def analyze(
         if action == "tight":
             # A tightly propagating reason guarantees the plain resolvent is
             # itself infeasible at the resolved state; check it.
-            assert activity_bounds_max(C_learn, lb, ub) < C_learn.rhs, (
+            assert infeasible_over(C_learn, lb, ub), (
                 f"resolvent feasible at {s} after tight resolution on x{r}"
             )
         C_learn = _strengthen(C_learn, variables)

@@ -17,12 +17,15 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .model import (
+    Bounds,
     LinearConstraint,
     SubstitutionRecord,
     Variable,
     VarKind,
     complement,
     denormalize,
+    global_contributions,
+    infeasible_over,
     normalize_for_reduction,
 )
 from .rationals import (
@@ -32,7 +35,6 @@ from .rationals import (
     is_finite,
     is_integral,
 )
-from .trail import Bounds, activity_bounds_max, scaled_global_min_activity
 
 
 class CutError(ValueError):
@@ -97,12 +99,12 @@ def coef_tighten(
     """
     # C's integer-scaled row clips the same coefficients, in int arithmetic.
     scale, terms, rhs = C.int_scaled()
-    minact = scaled_global_min_activity(C, variables)
-    if minact >= rhs:
-        raise CutError("coefficient tightening requires a non-redundant constraint")
-    if not is_finite(minact):
+    _, minact = global_contributions(C, variables)
+    if minact.infinite:
         return C
-    btilde = rhs - minact
+    if minact.finite >= rhs:
+        raise CutError("coefficient tightening requires a non-redundant constraint")
+    btilde = rhs - minact.finite
     clipped = {}
     for j, a in terms:
         v = variables[j]
@@ -168,8 +170,7 @@ def resolvent_infeasible(
 
     Raises CutError if the two cannot be resolved on r.
     """
-    res = resolve(C, reason, r)
-    return activity_bounds_max(res, lb, ub) < res.rhs
+    return infeasible_over(resolve(C, reason, r), lb, ub)
 
 
 def _literal_reason(

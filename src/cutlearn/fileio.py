@@ -196,6 +196,8 @@ def _parse_terms(text: str, index: Dict[str, int], lineno: int) -> Dict[int, Rat
         if gap:
             raise ParseError(f"unparsed tokens {gap!r}", lineno)
         sign_s, num_s, name = m.groups()
+        if terms and not sign_s:
+            raise ParseError(f"missing sign before term {m.group(0).strip()!r}", lineno)
         if name not in index:
             raise ParseError(f"unknown variable {name!r}", lineno)
         coef = _parse_number(num_s, lineno) if num_s else Fraction(1)

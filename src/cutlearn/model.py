@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rationals import (
     Ext,
@@ -147,19 +147,21 @@ class LinearConstraint:
 
     def global_span(self, variables: Sequence[Variable]) -> Ext:
         """The row's widest span max_j |a_j|·(global ub_j − global lb_j) over
-        ``variables``, INF if one of those bounds is infinite.  It is cached
-        on the row with the ``variables`` object it was computed for, and
-        reused only for that same object: a row can be used with others."""
+        ``variables``, INF if one of those bounds is infinite, 0 for a row
+        without terms.  It is cached on the row with the ``variables`` object
+        it was computed for, and reused only for that same object: a row can
+        be used with others."""
         cached = self.__dict__.get("_span")
         if cached is not None and cached[0] is variables:
             return cached[1]
-        span = ZERO
-        for j, a in self.terms:
-            v = variables[j]
-            if not (is_finite(v.global_lb) and is_finite(v.global_ub)):
-                span = INF
-                break
-            span = max(span, abs(a) * (v.global_ub - v.global_lb))
+        top, bottom = global_contributions(self, variables)
+        if top.infinite or bottom.infinite:
+            span = INF
+        else:
+            widest = max(
+                (t - bottom.contribs[j] for j, t in top.contribs.items()), default=0
+            )
+            span = Fraction(widest, self.int_scaled()[0])
         self.__dict__["_span"] = (variables, span)
         return span
 
@@ -224,6 +226,91 @@ class LinearConstraint:
             parts.append(f"{sign} {abs(c)} x{j}")
         lhs = " ".join(parts) if parts else "0"
         return f"{lhs} >= {self.rhs}"
+
+
+# -- row activities -------------------------------------------------------------
+
+
+# A bound per variable index.
+Bounds = Sequence[Ext]
+
+
+class Activity(NamedTuple):
+    """A row's max activity, kept exact.
+
+    ``finite`` is the sum of the finite contributions a_j x_j (x_j at the
+    bound that maximizes the term), ``infinite`` the number of infinite
+    ones, and ``contribs`` each term's contribution, None for an infinite
+    one: in term order from ``activity``, by variable index from
+    ``global_contributions``.
+    """
+
+    finite: Rat
+    infinite: int
+    contribs: Union[Tuple[Optional[Rat], ...], Dict[int, Optional[Rat]]]
+
+
+def activity(terms: Sequence[Tuple[int, Rat]], lb: Bounds, ub: Bounds) -> Activity:
+    """The box kernel: the max activity of the row with ``terms`` over the
+    box [lb, ub].
+
+    With the two bound vectors swapped it is the min activity, whose
+    infinite contributions are then -inf.  On ``int`` terms and bounds, such
+    as an integer-scaled row's over integral bounds, it is an ``int`` sum.
+    """
+    finite = 0
+    infinite = 0
+    contribs: List[Optional[Rat]] = []
+    for j, a in terms:
+        bound = ub[j] if a > 0 else lb[j]
+        if is_finite(bound):
+            contrib = a * bound
+            finite += contrib
+            contribs.append(contrib)
+        else:
+            infinite += 1
+            contribs.append(None)
+    return Activity(finite, infinite, tuple(contribs))
+
+
+def infeasible_over(C: LinearConstraint, lb: Bounds, ub: Bounds) -> bool:
+    """Is C's max activity over the box [lb, ub] below its rhs?  Both sides
+    are taken on C's integer-scaled row."""
+    _, terms, rhs = C.int_scaled()
+    finite, infinite, _ = activity(terms, lb, ub)
+    return not infinite and finite < rhs
+
+
+def global_contributions(
+    C: LinearConstraint, variables: Sequence[Variable]
+) -> Tuple[Activity, Activity]:
+    """The global kernel: the max and the min activity of C's integer-scaled
+    row at the global bounds of ``variables``, in one pass over its terms.
+
+    A term's max (min) contribution is a_j times the global bound of x_j
+    that maximizes (minimizes) it, None where that bound is infinite.
+    """
+    _, terms, _ = C.int_scaled()
+    top = bottom = 0
+    top_infinite = bottom_infinite = 0
+    tops: Dict[int, Optional[Rat]] = {}
+    bottoms: Dict[int, Optional[Rat]] = {}
+    for j, a in terms:
+        v = variables[j]
+        hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
+        if is_finite(hi):
+            tops[j] = hi = a * hi
+            top += hi
+        else:
+            tops[j] = None
+            top_infinite += 1
+        if is_finite(lo):
+            bottoms[j] = lo = a * lo
+            bottom += lo
+        else:
+            bottoms[j] = None
+            bottom_infinite += 1
+    return Activity(top, top_infinite, tops), Activity(bottom, bottom_infinite, bottoms)
 
 
 @dataclass(frozen=True)

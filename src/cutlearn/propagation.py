@@ -5,17 +5,17 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
-from .rationals import Rat, is_integral
-from .trail import (
-    BoundChange,
+from .model import (
+    BoundDisjunction,
+    BoundKind,
     Bounds,
-    DisjunctionReason,
-    RowReason,
-    Trail,
+    LinearConstraint,
+    Variable,
+    VarKind,
     activity,
-    residual,
 )
+from .rationals import Rat, is_integral
+from .trail import BoundChange, DisjunctionReason, RowReason, Trail
 
 
 class Candidate(NamedTuple):
@@ -36,6 +36,14 @@ NO_CHANGE = PropagationResult(False)
 CONFLICT = PropagationResult(True)
 
 
+def residual(finite: Rat, infinite: int, contrib: Optional[Rat]) -> Optional[Rat]:
+    """Max activity of the other terms of a row, given the row's activity
+    (``finite``, ``infinite``) and one term's contribution; None if infinite."""
+    if contrib is None:
+        return finite if infinite == 1 else None
+    return finite - contrib if infinite == 0 else None
+
+
 def propagate_candidates(
     C: LinearConstraint, variables: Sequence[Variable], lb: Bounds, ub: Bounds
 ) -> PropagationResult:
@@ -51,7 +59,7 @@ def propagate_candidates(
     slack is at least ``C.global_span(variables)`` implies nothing, and
     its per-term loop is skipped (SCIP's max-activity-delta test).
     """
-    finite, infinite, contribs = activity(C, lb, ub)
+    finite, infinite, contribs = activity(C.terms, lb, ub)
     if infinite == 0:
         if finite < C.rhs:
             return CONFLICT

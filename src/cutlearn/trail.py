@@ -15,17 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import BoundDisjunction, BoundKind, LinearConstraint, Variable, VarKind
-from .rationals import (
-    INF,
-    NEG_INF,
-    Ext,
-    Rat,
-    ZERO,
-    format_ext,
-    int_if_integral,
-    is_finite,
-    is_integral,
-)
+from .rationals import Ext, Rat, format_ext, int_if_integral, is_integral
 
 
 class StateId(NamedTuple):
@@ -255,81 +245,3 @@ class Trail:
             k = prior[k - 1]
         return None
 
-
-# -- activities ---------------------------------------------------------------
-
-
-# A bound per variable index.
-Bounds = Sequence[Ext]
-
-
-class Activity(NamedTuple):
-    """Max activity of a row over a box, kept exact.
-
-    ``finite`` is the sum of the finite contributions a_j x_j (x_j at the
-    bound that maximizes the term), ``infinite`` the number of infinite
-    ones, and ``contribs`` each term's contribution in term order, None
-    for an infinite one.
-    """
-
-    finite: Rat
-    infinite: int
-    contribs: Tuple[Optional[Rat], ...]
-
-
-def activity(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Activity:
-    """The activity kernel: C's max activity over the box [lb, ub].
-
-    With the two bound vectors swapped it is C's min activity, whose
-    infinite contributions are then -inf.
-    """
-    finite = ZERO
-    infinite = 0
-    contribs: List[Optional[Rat]] = []
-    for j, a in C.terms:
-        bound = ub[j] if a > 0 else lb[j]
-        if is_finite(bound):
-            contrib = a * bound
-            finite += contrib
-            contribs.append(contrib)
-        else:
-            infinite += 1
-            contribs.append(None)
-    return Activity(finite, infinite, tuple(contribs))
-
-
-def residual(finite: Rat, infinite: int, contrib: Optional[Rat]) -> Optional[Rat]:
-    """Max activity of the other terms of a row, given the row's activity
-    (``finite``, ``infinite``) and one term's contribution; None if infinite."""
-    if contrib is None:
-        return finite if infinite == 1 else None
-    return finite - contrib if infinite == 0 else None
-
-
-def activity_bounds_max(C: LinearConstraint, lb: Bounds, ub: Bounds) -> Ext:
-    """C's max activity over the box [lb, ub], INF if it is unbounded.
-
-    It is summed on C's integer-scaled row, so on integral bounds the sum
-    is an ``int`` sum, and divided by C's scale once."""
-    scale, terms, _ = C.int_scaled()
-    total = 0
-    for j, a in terms:
-        bound = ub[j] if a > 0 else lb[j]
-        if not is_finite(bound):
-            return INF
-        total += a * bound
-    return Fraction(total, scale)
-
-
-def scaled_global_min_activity(C: LinearConstraint, variables: Sequence[Variable]) -> Ext:
-    """The min activity at the global bounds of C's integer-scaled row, in
-    one pass over its terms."""
-    _, terms, _ = C.int_scaled()
-    total = 0
-    for j, a in terms:
-        v = variables[j]
-        bound = v.global_lb if a > 0 else v.global_ub
-        if not is_finite(bound):
-            return NEG_INF
-        total += a * bound
-    return total

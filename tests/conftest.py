@@ -1,5 +1,5 @@
 """Shared builders for the test suite, and the checked extended arithmetic
-and trail activity queries that the reference implementations use."""
+and activity sums that the reference implementations use."""
 
 from fractions import Fraction
 from typing import Optional
@@ -14,15 +14,8 @@ from cutlearn.model import (
     VarKind,
     build_problem,
 )
-from cutlearn.rationals import INF, NEG_INF, Ext, Rat, is_finite
-from cutlearn.trail import (
-    INITIAL_STATE,
-    BoundChange,
-    StateId,
-    Trail,
-    activity,
-    scaled_global_min_activity,
-)
+from cutlearn.rationals import INF, NEG_INF, ZERO, Ext, Rat, is_finite
+from cutlearn.trail import INITIAL_STATE, BoundChange, StateId, Trail
 
 F = Fraction
 
@@ -38,18 +31,19 @@ def box(trail: Trail, state: Optional[StateId] = None):
     return (trail.variables, *trail.bounds_at(state))
 
 
-def reference_activity_bounds_max(C: LinearConstraint, lb, ub) -> Ext:
-    """C's max activity over [lb, ub], INF if unbounded, summed in C's own
-    Fractions by the activity kernel: the reference that
-    ``trail.activity_bounds_max``, which sums on the integer-scaled row, is
-    tested against."""
-    finite, infinite, _ = activity(C, lb, ub)
-    return finite if infinite == 0 else INF
+def reference_max_activity(C: LinearConstraint, lb, ub) -> Ext:
+    """C's max activity over [lb, ub], INF if unbounded: a plain sum of
+    a_j times the maximizing bound in C's own Fractions, with the checked
+    extended arithmetic."""
+    total = ZERO
+    for j, a in C.terms:
+        total = ext_add(total, ext_mul(a, ub[j] if a > 0 else lb[j]))
+    return total
 
 
 def max_activity(C: LinearConstraint, trail: Trail, state: Optional[StateId] = None) -> Ext:
     _, lb, ub = box(trail, state)
-    return reference_activity_bounds_max(C, lb, ub)
+    return reference_max_activity(C, lb, ub)
 
 
 def infeasible_at(
@@ -59,10 +53,14 @@ def infeasible_at(
 
 
 def global_min_activity(C: LinearConstraint, variables) -> Ext:
-    """C's min activity at the global bounds: ``scaled_global_min_activity``
-    divided by C's scale once, NEG_INF if it is unbounded."""
-    total = scaled_global_min_activity(C, variables)
-    return Fraction(total, C.int_scaled()[0]) if is_finite(total) else NEG_INF
+    """C's min activity at the global bounds, NEG_INF if unbounded: a plain
+    sum of a_j times the minimizing global bound in C's own Fractions, with
+    the checked extended arithmetic."""
+    total = ZERO
+    for j, a in C.terms:
+        v = variables[j]
+        total = ext_add(total, ext_mul(a, v.global_lb if a > 0 else v.global_ub))
+    return total
 
 
 # -- whole-trail scans the trail's history queries are tested against --------

@@ -32,7 +32,7 @@ from cutlearn.rationals import (
 )
 from cutlearn.trail import StateId, Trail
 
-from conftest import infeasible_at, reference_activity_bounds_max
+from conftest import infeasible_at, reference_max_activity
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ def resolve_general_integer(
         plain = resolve(C_learn, C_reason, x_r)
     except CutError:
         return FAILED
-    if reference_activity_bounds_max(plain, lb, ub) < plain.rhs:
+    if reference_max_activity(plain, lb, ub) < plain.rhs:
         return Resolved(plain)
 
     # Shift/complement every variable of the reason to a 0-based literal,
@@ -421,6 +421,6 @@ def resolve_general_integer(
         res = resolve(C_learn, reduced, x_r)
     except CutError:
         return FAILED
-    if reference_activity_bounds_max(res, lb, ub) < res.rhs:
+    if reference_max_activity(res, lb, ub) < res.rhs:
         return SeparationCut(reduced)
     return FAILED

@@ -30,6 +30,7 @@ from cutlearn.model import (
     Variable,
     VarKind,
     build_problem,
+    global_contributions,
 )
 from cutlearn.oracle import validate_learned
 from cutlearn.propagation import propagate_fixpoint
@@ -56,7 +57,7 @@ from conftest import (
     max_activity,
     mbp5_system,
     mk,
-    reference_activity_bounds_max,
+    reference_max_activity,
 )
 
 
@@ -148,7 +149,7 @@ def _reference_scan_states(trail):
 
 def _reference_min_infeasible_state(C, trail):
     for state, lb, ub in _reference_scan_states(trail):
-        if reference_activity_bounds_max(C, lb, ub) < C.rhs:
+        if reference_max_activity(C, lb, ub) < C.rhs:
             return state
     return None
 
@@ -162,7 +163,7 @@ def _reference_residual_max(C, skip, lb, ub):
 
 
 def _reference_propagates_under(C, trail, lb, ub):
-    if reference_activity_bounds_max(C, lb, ub) < C.rhs:
+    if reference_max_activity(C, lb, ub) < C.rhs:
         return False
     for j, a in C.terms:
         residual = _reference_residual_max(C, j, lb, ub)
@@ -358,7 +359,7 @@ def test_walk_keeps_ints_on_an_integral_row():
     t.push_deduction(1, BoundKind.UPPER, 2, RowReason(0, C))
     t.push_deduction(2, BoundKind.LOWER, -1, RowReason(0, C))
     t.push_deduction(1, BoundKind.LOWER, 0, RowReason(0, C))
-    walk = _ActivityWalk(C, vs, bottoms=True)
+    walk = _ActivityWalk(C, vs)
     for ch in [None] + t.changes:
         if ch is not None:
             assert walk.apply(ch)
@@ -636,11 +637,12 @@ def _row_and_variables(draw):
 @settings(max_examples=300, deadline=None)
 @given(_row_and_variables())
 def test_global_min_activity_is_the_fraction_sum(case):
+    """The global kernel's min activity on C's integer-scaled row, divided by
+    the scale once, is the plain Fraction sum at the global bounds."""
     C, vs = case
-    total = ZERO
-    for j, a in C.terms:
-        total = ext_add(total, ext_mul(a, vs[j].global_lb if a > 0 else vs[j].global_ub))
-    assert global_min_activity(C, vs) == total
+    _, minact = global_contributions(C, vs)
+    scaled = NEG_INF if minact.infinite else F(minact.finite, C.int_scaled()[0])
+    assert scaled == global_min_activity(C, vs)
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,12 +27,15 @@ from cutlearn.model import (
     BoundKind,
     Variable,
     VarKind,
+    activity,
     complement,
+    denormalize,
     evaluate,
+    normalize_for_reduction,
 )
 from cutlearn.propagation import propagate_candidates
-from cutlearn.rationals import INF, NEG_INF
-from cutlearn.trail import RowReason, Trail, activity
+from cutlearn.rationals import INF, NEG_INF, is_integral
+from cutlearn.trail import RowReason, Trail
 
 import reduction_reference as ref
 from conftest import F, binary_vars, box, max_activity, mk
@@ -299,6 +302,56 @@ def test_cmir_dominates_wmir_pointwise():
     assert evaluate(w, p).satisfied and not evaluate(c, p).satisfied
 
 
+@st.composite
+def non_tight_binary_reasons(draw):
+    """A pure-binary reason, its resolved variable r and a box of fixings at
+    which the reason propagates r with a fractional gap in (0, 1)."""
+    n = draw(st.integers(2, 6))
+    vs = binary_vars(n)
+    r = draw(st.integers(0, n - 1))
+    lb, ub = [0] * n, [1] * n
+    for j in range(n):
+        fixing = draw(st.sampled_from(["free", "zero", "one"]))
+        if j != r and fixing == "zero":
+            ub[j] = 0
+        elif j != r and fixing == "one":
+            lb[j] = 1
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+    terms = {j: draw(nonzero) for j in sorted(draw(st.sets(st.integers(0, n - 1))) | {r})}
+    others = sum(a * (ub[j] if a > 0 else lb[j]) for j, a in terms.items() if j != r)
+    gap = draw(st.fractions(min_value=0, max_value=1, max_denominator=6).filter(
+        lambda g: 0 < g < 1
+    ))
+    a_r = terms[r]
+    rhs = others + a_r * (gap if a_r > 0 else 1 - gap)
+    return mk(terms, rhs), r, vs, lb, ub
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_tight_binary_reasons())
+def test_wmir_dominates_division(case):
+    """The paper's dominance claim, in literal space: after the fractional
+    unfixed literals are weakened, the MIR cut (``reduce_wmir``) and the
+    division cut (Chvátal-Gomory rounding of the reason, whose resolved
+    literal has coefficient 1) are both valid on the reason's 0/1 points,
+    share the rhs, and wmir's coefficients are at most division's."""
+    C, r, vs, lb, ub = case
+    norm, record = normalize_for_reduction(C, r, vs)
+    work = norm
+    for j, a in norm.terms:
+        unfixed = lb[j] == 0 if j in record.complemented else ub[j] == 1
+        if j != r and unfixed and not is_integral(a):
+            work = weaken(work, j, vs)
+    wmir, division = mir_cut(work, vs), cg_cut(work, vs)
+    assert denormalize(wmir, record, vs) == reduce_wmir(C, r, vs, lb, ub)
+    for p in feasible_points(norm, len(vs)):
+        assert evaluate(wmir, list(p)).satisfied
+        assert evaluate(division, list(p)).satisfied
+    assert wmir.rhs == division.rhs
+    for j, _ in work.terms:
+        assert wmir.coef(j) <= division.coef(j)
+
+
 # -- divergence between rounding and tightening reductions --------------------
 
 
@@ -430,7 +483,7 @@ def reduction_cases(draw):
     support = draw(st.sets(st.integers(0, n - 1))) | {r}
     terms = {j: draw(nonzero) for j in sorted(support)}
     others = mk({j: c for j, c in terms.items() if j != r}, 0)
-    finite, infinite, _ = activity(others, lb, ub)
+    finite, infinite, _ = activity(others.terms, lb, ub)
     gap = draw(st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=6))
     a_r = terms[r]
     if infinite or draw(st.integers(0, 9)) == 0:
@@ -445,7 +498,7 @@ def reduction_cases(draw):
     # Place the plain resolvent's slack at the state near 0, where the
     # reduction of the reason decides whether the resolvent stays infeasible.
     plain = resolve(mk(confl_terms, 0), reason, r)
-    finite, infinite, _ = activity(plain, lb, ub)
+    finite, infinite, _ = activity(plain.terms, lb, ub)
     slack = draw(st.fractions(min_value=-1, max_value=1, max_denominator=4))
     confl = mk(confl_terms, slack if infinite else finite - plain.rhs - slack)
     return reason, confl, r, t

@@ -125,6 +125,15 @@ def test_parse_native_errors():
             parse_native("# a malformed bound\n" + line + "\n")
 
 
+def test_parse_native_requires_a_sign_before_every_later_term():
+    """A term after the first without its sign is refused, in a row and in
+    the objective, instead of being read as added."""
+    head = "var x binary\nvar y binary\n"
+    for line in ("con c: x y >= 1", "con c: 2 x 3 y >= 1", "min: x y", "min: + 2 x 3 y"):
+        with pytest.raises(ParseError, match="^line 3: missing sign"):
+            parse_native(head + line + "\n")
+
+
 def test_print_native_roundtrip():
     for problem in [parse_native(NATIVE), random_mbp_problem(3)] + desk_corpus(6):
         text = print_native(problem)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlearn.model import (
@@ -15,16 +15,18 @@ from cutlearn.model import (
     LinearConstraint,
     Variable,
     VarKind,
+    activity,
     build_problem,
     complement,
     denormalize,
     evaluate,
+    infeasible_over,
     literal_variables,
     normalize_for_reduction,
 )
-from cutlearn.rationals import INF, NEG_INF
+from cutlearn.rationals import INF, NEG_INF, int_if_integral
 
-from conftest import F, binary_vars, mk
+from conftest import F, binary_vars, mk, reference_max_activity
 
 coefs = st.fractions(min_value=-100, max_value=100, max_denominator=10)
 
@@ -98,6 +100,47 @@ def test_int_scaled_is_the_row_times_its_scale(terms, rhs):
         assert canon == C.scaled(canon.terms[0][1] / C.terms[0][1])
         assert all(a.denominator == 1 for _, a in canon.terms)
         assert math.gcd(*(a.numerator for _, a in canon.terms)) == 1
+
+
+# -- the box kernel on the integer-scaled row ---------------------------------
+
+# Rationals with denominators 1 to 7.
+sevenths = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
+
+
+@st.composite
+def rows_and_boxes(draw):
+    """A row with coefficient and rhs denominators 1 to 7 and a box whose
+    bounds are integral (as ``int`` or as ``Fraction``), fractional (a
+    continuous variable's) or infinite."""
+    n = draw(st.integers(1, 6))
+    lb, ub = [], []
+    for _ in range(n):
+        lo = draw(sevenths)
+        hi = lo + draw(sevenths.map(abs))
+        if draw(st.booleans()):
+            lo, hi = int_if_integral(lo), int_if_integral(hi)
+        lb.append(NEG_INF if draw(st.integers(0, 4)) == 0 else lo)
+        ub.append(INF if draw(st.integers(0, 4)) == 0 else hi)
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    nonzero = st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 7))
+    coefs = {j: draw(nonzero) for j in support}
+    return mk(coefs, draw(sevenths)), lb, ub
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_boxes())
+def test_scaled_activity_matches_the_fraction_sum(case):
+    """On C's own terms and on its integer-scaled ones, divided by the scale
+    once, the box kernel's max activity is the plain Fraction sum, INF
+    included, and ``infeasible_over`` compares it with the rhs."""
+    C, lb, ub = case
+    expected = reference_max_activity(C, lb, ub)
+    scale, scaled_terms, _ = C.int_scaled()
+    for terms, divisor in ((C.terms, 1), (scaled_terms, scale)):
+        finite, infinite, _ = activity(terms, lb, ub)
+        assert (INF if infinite else Fraction(finite, divisor)) == expected
+    assert infeasible_over(C, lb, ub) == (expected < C.rhs)
 
 
 def test_combined_requires_positive_multiplier():

@@ -13,6 +13,7 @@ from cutlearn.model import (
     BoundKind,
     Variable,
     VarKind,
+    activity,
     evaluate,
 )
 from cutlearn.propagation import (
@@ -23,6 +24,7 @@ from cutlearn.propagation import (
     propagate_candidates,
     propagate_disjunction,
     propagate_fixpoint,
+    residual,
 )
 from cutlearn.rationals import (
     INF,
@@ -30,17 +32,18 @@ from cutlearn.rationals import (
     ZERO,
     is_finite,
 )
-from cutlearn.trail import (
-    INITIAL_STATE,
-    DisjunctionReason,
-    RowReason,
-    Trail,
-    activity,
-    activity_bounds_max,
-    residual,
-)
+from cutlearn.trail import INITIAL_STATE, DisjunctionReason, RowReason, Trail
 
-from conftest import F, binary_vars, box, ext_add, ext_mul, max_activity, mk
+from conftest import (
+    F,
+    binary_vars,
+    box,
+    ext_add,
+    ext_mul,
+    max_activity,
+    mk,
+    reference_max_activity,
+)
 
 coefs = st.integers(min_value=-4, max_value=4)
 
@@ -101,7 +104,7 @@ def test_residual_max_handles_infinite_bounds():
     ]
     t = Trail(vs)
     C = mk({0: 1, 1: 1}, 0)
-    finite, infinite, contribs = activity(C, t.local_lb, t.local_ub)
+    finite, infinite, contribs = activity(C.terms, t.local_lb, t.local_ub)
     assert (finite, infinite, contribs) == (1, 1, (None, 1))
     # the residual of y is 1; that of x is +inf, which the kernel gives as None
     assert residual(finite, infinite, contribs[0]) == 1
@@ -547,9 +550,9 @@ def test_candidates_match_quadratic_reference(case, data):
     for state in [None, INITIAL_STATE] + [ch.state for ch in t.changes]:
         variables, lb, ub = box(t, state)
         assert propagate_candidates(C, variables, lb, ub) == reference_candidates(C, t, state)
-        finite, infinite, contribs = activity(C, lb, ub)
+        finite, infinite, contribs = activity(C.terms, lb, ub)
         assert infinite == infinite_contributions(C, lb, ub)
-        assert activity_bounds_max(C, lb, ub) == (INF if infinite else finite)
+        assert (INF if infinite else finite) == reference_max_activity(C, lb, ub)
         for (j, _), contrib in zip(C.terms, contribs):
             rest = residual(finite, infinite, contrib)
             expected = reference_residual_max(C, j, lb, ub)

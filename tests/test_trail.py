@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutlearn.model import BoundAtom, BoundDisjunction, BoundKind, Variable, VarKind
-from cutlearn.rationals import INF, NEG_INF, int_if_integral
+from cutlearn.rationals import INF, int_if_integral
 from cutlearn.trail import (
     INITIAL_STATE,
     DisjunctionReason,
     RowReason,
     StateId,
     Trail,
-    activity_bounds_max,
 )
 
 from conftest import (
@@ -21,7 +20,6 @@ from conftest import (
     infeasible_at,
     max_activity,
     mk,
-    reference_activity_bounds_max,
     reference_latest_change,
     reference_predecessor,
 )
@@ -329,39 +327,3 @@ def test_is_stable_iff_no_change_on_the_row_since_its_surviving_mark(data):
                 assert t.is_stable(i, row) == want
                 if want:
                     assert bounds(row) == surviving[-1][3]
-
-
-# -- max activity on the integer-scaled row ----------------------------------
-
-# Rationals with denominators 1 to 7.
-sevenths = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
-
-
-@st.composite
-def rows_and_boxes(draw):
-    """A row with coefficient and rhs denominators 1 to 7 and a box whose
-    bounds are integral (as ``int`` or as ``Fraction``), fractional (a
-    continuous variable's) or infinite."""
-    n = draw(st.integers(1, 6))
-    lb, ub = [], []
-    for _ in range(n):
-        lo = draw(sevenths)
-        hi = lo + draw(sevenths.map(abs))
-        if draw(st.booleans()):
-            lo, hi = int_if_integral(lo), int_if_integral(hi)
-        lb.append(NEG_INF if draw(st.integers(0, 4)) == 0 else lo)
-        ub.append(INF if draw(st.integers(0, 4)) == 0 else hi)
-    support = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    nonzero = st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 7))
-    coefs = {j: draw(nonzero) for j in support}
-    return mk(coefs, draw(sevenths)), lb, ub
-
-
-@settings(max_examples=300, deadline=None)
-@given(rows_and_boxes())
-def test_activity_bounds_max_matches_the_fraction_kernel(case):
-    """Summed on the integer-scaled row and divided by the scale once, the
-    max activity equals the activity kernel's sum in C's own Fractions,
-    INF included."""
-    C, lb, ub = case
-    assert activity_bounds_max(C, lb, ub) == reference_activity_bounds_max(C, lb, ub)
