@@ -15,7 +15,8 @@ include abandoned analyses and results the search discarded for using the
 objective-cutoff row, which never reach ``on_analysis``.  The instances are
 the random sweep generators (through both ``solve`` and ``run_two_phase``),
 the desk corpus (``run_two_phase``) and PHP(p, p - 1) (``solve``).
-``--every N`` keeps every Nth sweep seed.
+``--every N`` keeps every Nth sweep seed, and always the named seeds of
+``NAMED_SEEDS`` that lie in the sweep, each once and in seed order.
 
 The last line counts, over every result ``analyze`` returned, the steps of
 their traces by action and the results by outcome, so a diff shows which
@@ -50,6 +51,12 @@ from cutlearn.search import (
     serialize_learned,
     solve,
 )
+
+
+# Sweep seeds that between them reach the ``mbp``, ``int-resolve`` and
+# ``separation-cut`` reason handlers and a ``global_infeasibility`` result,
+# which a sparse ``--every`` sample can miss.
+NAMED_SEEDS = (("binary", 13), ("mixed", 52), ("integer", 95), ("integer", 194))
 
 
 def format_result(label, result):
@@ -129,7 +136,8 @@ def instances(args):
         ("integer", random_general_integer_problem, args.integer),
     )
     for family, generate, count in sweep:
-        for seed in range(0, count, args.every):
+        named = {seed for name, seed in NAMED_SEEDS if name == family and seed < count}
+        for seed in sorted(named.union(range(0, count, args.every))):
             yield f"{family}/{seed}", generate(seed), ("solve", "twophase")
     for k, problem in enumerate(desk_corpus(size=args.desk)):
         yield f"desk/{k}", problem, ("twophase",)

@@ -12,7 +12,7 @@ the implication graph instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .cuts import (
     CutError,
@@ -430,58 +430,18 @@ def _reason_sources(
     return out
 
 
-def _atom_sources(
-    trail: Trail, seed: List[BoundChange], used: Set[int]
-) -> List[BoundChange]:
-    """Expand continuous changes through their reasons until only integral
-    bound changes remain; drops nothing else."""
-    variables = trail.variables
-    result = {}
-    stack = list(seed)
-    seen: Set[StateId] = set()
-    while stack:
-        ch = stack.pop()
-        if ch.state in seen:
-            continue
-        seen.add(ch.state)
-        if variables[ch.var].kind is not VarKind.CONTINUOUS:
-            result[ch.state] = ch
-            continue
-        if ch.reason is None:
-            raise ValueError("continuous decision on the trail")
-        stack.extend(_expand_change(trail, ch, used))
-    return sorted(result.values(), key=lambda c: c.state)
-
-
-def _expand_change(trail: Trail, ch: BoundChange, used: Set[int]) -> List[BoundChange]:
-    """The changes that made ``ch``'s reason imply it."""
-    if isinstance(ch.reason, RowReason):
-        used.add(ch.reason.index)
-        reason = ch.reason.row
-    else:
-        reason = ch.reason.disjunction
-    s = ch.state
-    return _reason_sources(trail, reason, StateId(s.level, s.index - 1), ch)
-
-
-def _negated_atom(ch: BoundChange, variables: Sequence[Variable]) -> BoundAtom:
-    v = variables[ch.var]
-    if not v.is_integral:
-        raise ValueError("cannot negate a continuous bound change")
-    if ch.kind is BoundKind.LOWER:
-        return BoundAtom(ch.var, BoundKind.UPPER, ch.new_value - 1)
-    return BoundAtom(ch.var, BoundKind.LOWER, ch.new_value + 1)
-
-
 def graph_fallback(
     trail: Trail, conflict: Union[LinearConstraint, BoundDisjunction]
 ) -> AnalysisResult:
     """Single-FUIP analysis over bound changes.
 
-    The learned object is the negation of the contributing bound set after
-    all current-level propagations except the last one are expanded through
-    their reasons.  Pure-binary results are returned as a clause row;
-    otherwise as a bound disjunction.
+    One walk over the implication graph: the changes that falsify the
+    conflict's literals are reached first, and a continuous change is
+    expanded through its reason as soon as it is reached.  Integral changes
+    at the conflict level stay open, and the latest open one is expanded
+    while more than one is; root-level changes hold in every subproblem and
+    are dropped.  The learned object negates the sources left, as a clause
+    row when they are all binary and as a bound disjunction otherwise.
     """
     variables = trail.variables
     state = trail.current_state
@@ -489,45 +449,60 @@ def graph_fallback(
     if level == 0:
         return AnalysisResult("global_infeasibility")
     used: Set[int] = set()
-    seed = _reason_sources(trail, conflict, state)
-    contributions = _atom_sources(trail, seed, used)
-    # Drop root-level contributions: they hold in every subproblem.
-    contributions = [c for c in contributions if c.state.level > 0]
-    open_here = [c for c in contributions if c.state.level == level]
-    earlier = {c.state: c for c in contributions if c.state.level < level}
+    seen: Set[StateId] = set()
+    # Integral sources by state: at the conflict level, and at levels 1 to L-1.
+    open_here: Dict[StateId, BoundChange] = {}
+    earlier: Dict[StateId, BoundChange] = {}
+
+    def reasons(ch: BoundChange) -> List[BoundChange]:
+        """The changes that made ``ch``'s reason imply it."""
+        if isinstance(ch.reason, RowReason):
+            used.add(ch.reason.index)
+            reason = ch.reason.row
+        else:
+            reason = ch.reason.disjunction
+        s = ch.state
+        return _reason_sources(trail, reason, StateId(s.level, s.index - 1), ch)
+
+    def reach(stack: List[BoundChange]) -> None:
+        while stack:
+            ch = stack.pop()
+            if ch.state in seen:
+                continue
+            seen.add(ch.state)
+            if variables[ch.var].kind is VarKind.CONTINUOUS:
+                if ch.reason is None:
+                    raise ValueError("continuous decision on the trail")
+                stack.extend(reasons(ch))
+            elif ch.state.level == level:
+                open_here[ch.state] = ch
+            elif ch.state.level > 0:
+                earlier[ch.state] = ch
+
+    reach(_reason_sources(trail, conflict, state))
     iterations = 0
     while len(open_here) > 1:
-        open_here.sort(key=lambda c: c.state)
-        ch = open_here.pop()
+        ch = open_here.pop(max(open_here))
         if ch.is_decision:
             # The decision sits at index 0, so it cannot be the latest of
             # two open changes at its own level.
             raise AssertionError("decision dominated a later change")
-        expanded = _atom_sources(trail, _expand_change(trail, ch, used), used)
+        reach(reasons(ch))
         iterations += 1
-        for nc in expanded:
-            if nc.state.level == 0:
-                continue
-            if nc.state.level == level:
-                if all(nc.state != o.state for o in open_here):
-                    open_here.append(nc)
-            else:
-                earlier[nc.state] = nc
-    atoms_src = sorted(earlier.values(), key=lambda c: c.state) + open_here
-    if not atoms_src:
+    sources = [earlier[s] for s in sorted(earlier)] + list(open_here.values())
+    if not sources:
         return AnalysisResult("global_infeasibility")
-    atoms = []
-    seen_keys = set()
-    for ch in atoms_src:
-        atom = _negated_atom(ch, variables)
-        key = (atom.var, atom.kind)
-        if key in seen_keys:
-            # Keep the weakest negation (latest change dominates earlier
-            # ones on the same bound).
-            atoms = [a for a in atoms if (a.var, a.kind) != key]
-        seen_keys.add(key)
-        atoms.append(atom)
-
+    # The negations in state order; the latest change on a bound dominates
+    # the earlier ones, so its (weakest) negation replaces theirs.
+    negated: Dict[Tuple[int, BoundKind], BoundAtom] = {}
+    for ch in sources:
+        if ch.kind is BoundKind.LOWER:
+            atom = BoundAtom(ch.var, BoundKind.UPPER, ch.new_value - 1)
+        else:
+            atom = BoundAtom(ch.var, BoundKind.LOWER, ch.new_value + 1)
+        negated.pop((atom.var, atom.kind), None)
+        negated[atom.var, atom.kind] = atom
+    atoms = list(negated.values())
     if all(variables[a.var].kind is VarKind.BINARY for a in atoms):
         # The clause over the atoms' literals: x for x >= 1, 1 - x for x <= 0.
         clause = complement(
@@ -538,19 +513,12 @@ def graph_fallback(
         learned = clause.with_origin("learned:graph")
     else:
         learned = BoundDisjunction(tuple(atoms), "learned:graph")
+    # The object becomes unit after the latest source below the conflict level.
     return AnalysisResult(
         "learned",
         learned,
-        backjump_target=_fallback_backjump(trail, atoms_src),
+        backjump_target=max(earlier, default=INITIAL_STATE),
         iterations=iterations,
         conflicting_state=state,
         used_row_indices=tuple(sorted(used)),
     )
-
-
-def _fallback_backjump(trail: Trail, sources: List[BoundChange]) -> StateId:
-    """State after which the learned object becomes unit: the latest source
-    change below the conflict level (or the root if there is none)."""
-    level = trail.current_level
-    below = [c.state for c in sources if c.state.level < level]
-    return max(below) if below else INITIAL_STATE

@@ -113,12 +113,16 @@ def propagate_disjunction(D: BoundDisjunction, trail: Trail) -> DisjunctionPropa
     return DisjunctionPropagation(False, (atom.var, atom.kind, value))
 
 
+# Rounds after which ``propagate_fixpoint`` stops short of a fixpoint.
+MAX_ROUNDS = 200
+
+
 class FixpointResult(NamedTuple):
     conflict: bool
     # For conflicts: ("row" | "disjunction", index within the given list).
     source: Optional[Tuple[str, int]] = None
     num_changes: int = 0
-    # True when ``max_rounds`` stopped the loop before a fixpoint.
+    # True when the loop stopped after ``MAX_ROUNDS`` rounds, before a fixpoint.
     capped: bool = False
 
 
@@ -126,14 +130,14 @@ def propagate_fixpoint(
     trail: Trail,
     rows: Sequence[LinearConstraint],
     disjunctions: Sequence[BoundDisjunction] = (),
-    max_rounds: int = 200,
 ) -> FixpointResult:
     """Round-robin propagation in row-index order until stable or conflicting.
 
     Continuous bounds can converge to a fixpoint without ever reaching it
     (two rows tightening each other by a shrinking amount each round), so
-    the number of rounds is capped.  Stopping early is sound: propagation
-    only ever deduces implied bounds, never assumes anything.
+    the number of rounds is capped at ``MAX_ROUNDS``.  Stopping early is
+    sound: propagation only ever deduces implied bounds, never assumes
+    anything.
 
     Each row is evaluated once per round.  Its deductions tighten, for each
     x_j, the bound that its max activity does not read (the lower bound if
@@ -149,7 +153,7 @@ def propagate_fixpoint(
     num_changes = 0
     changed = True
     rounds = 0
-    while changed and rounds < max_rounds:
+    while changed and rounds < MAX_ROUNDS:
         changed = False
         rounds += 1
         for i, row in enumerate(rows):

@@ -71,7 +71,7 @@ class Stats:
     avg_learned_length: Optional[float] = None
     used_pct: Optional[float] = None
     bdchgs_by_learned: int = 0
-    # Fixpoints that ``max_rounds`` stopped before they were reached.
+    # Fixpoints that ``propagation.MAX_ROUNDS`` stopped before they were reached.
     propagation_capped: int = 0
 
 

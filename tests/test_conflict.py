@@ -1,6 +1,8 @@
 """Conflict analysis: backward resolution, continuous elimination, fallbacks."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from cutlearn.cuts import (
     resolve,
 )
 from cutlearn.model import (
+    BoundAtom,
     BoundDisjunction,
     BoundKind,
+    LinearConstraint,
     Variable,
     VarKind,
     build_problem,
@@ -42,11 +46,13 @@ from cutlearn.rationals import (
 )
 from cutlearn.trail import (
     INITIAL_STATE,
+    DisjunctionReason,
     RowReason,
     StateId,
     Trail,
 )
 
+import fallback_reference as fallback_ref
 from conftest import (
     F,
     binary_vars,
@@ -578,6 +584,149 @@ def test_graph_fallback_integer_disjunction():
         for z in range(1, 4):
             if 2 * z + w >= 4 and -2 * z + w >= F(-5, 2):
                 assert w >= 2
+
+
+def _random_fallback_case(rng):
+    """A random trail over binaries, integers on [0, 6] and continuous
+    variables, with root deductions, up to four decision levels, row and
+    disjunction reasons, and a row or disjunction conflict.
+
+    The walk reads only structure, so a reason need not imply its change:
+    it only names the change's literal among a few others.  General
+    integers often tighten again a bound that an earlier change, at this or
+    an earlier level, already tightened: that is where the fallback's
+    sources repeat a (variable, kind).
+    """
+    n_bin, n_int, n_cont = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+    vs = binary_vars(n_bin)
+    vs += [Variable(n_bin + i, f"z{i}", VarKind.INTEGER, 0, 6) for i in range(n_int)]
+    first = n_bin + n_int
+    vs += [Variable(first + i, f"y{i}", VarKind.CONTINUOUS, 0, 10) for i in range(n_cont)]
+    n = len(vs)
+    t = Trail(vs)
+    rows, disjunctions, tightened = [], [], []
+    kinds = list(BoundKind)
+    other = {BoundKind.LOWER: BoundKind.UPPER, BoundKind.UPPER: BoundKind.LOWER}
+
+    def literals():
+        # Mostly literals that some change on the trail falsifies.
+        lits = {}
+        for _ in range(rng.randint(1, 3)):
+            if t.changes and rng.random() < 0.7:
+                ch = rng.choice(t.changes)
+                j, kind = ch.var, other[ch.kind]
+            else:
+                j, kind = rng.randrange(n), rng.choice(kinds)
+            lits[j, kind] = None
+        return lits
+
+    def row_or_disjunction(lits):
+        if rng.random() < 0.55:
+            # A row term stands for the lower bound if its coefficient is
+            # positive, for the upper bound if it is negative.
+            coefs = {
+                j: rng.randint(1, 3) * (1 if kind is BoundKind.LOWER else -1)
+                for j, kind in lits
+            }
+            return mk(coefs, rng.randint(-4, 4))
+        return BoundDisjunction(tuple(BoundAtom(j, kind, 0) for j, kind in lits))
+
+    def tightened_value(j, kind):
+        lo, hi = t.local_lb[j], t.local_ub[j]
+        if lo >= hi:
+            return None
+        if vs[j].kind is VarKind.CONTINUOUS:
+            step = (hi - lo) * F(rng.randint(1, 3), 4)
+        else:
+            step = rng.randint(1, min(2, hi - lo))
+        return lo + step if kind is BoundKind.LOWER else hi - step
+
+    def push(decision):
+        if tightened and rng.random() < 0.5:
+            j, kind = rng.choice(tightened)
+        else:
+            j, kind = rng.randrange(first if decision else n), rng.choice(kinds)
+        value = tightened_value(j, kind)
+        if value is None:
+            return
+        if vs[j].kind is VarKind.INTEGER:
+            tightened.append((j, kind))
+        if decision:
+            t.push_decision(j, kind, value)
+            return
+        lits = literals()
+        lits.pop((j, kind), None)
+        reason = row_or_disjunction([(j, kind), *lits])
+        if isinstance(reason, LinearConstraint):
+            rows.append(reason)
+            t.push_deduction(j, kind, value, RowReason(len(rows) - 1, reason), value)
+        else:
+            disjunctions.append(reason)
+            t.push_deduction(j, kind, value, DisjunctionReason(len(disjunctions) - 1, reason))
+
+    for _ in range(rng.randint(0, 2)):
+        push(decision=False)
+    for _ in range(rng.randint(0, 4)):
+        push(decision=True)
+        for _ in range(rng.randint(0, 4)):
+            push(decision=False)
+    return t, row_or_disjunction(list(literals()))
+
+
+def _fallback_outcome(fallback, trail, conflict):
+    try:
+        return fallback(trail, conflict)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+def test_graph_fallback_matches_reference(monkeypatch):
+    """The one-walk fallback gives every field of the earlier helper-based
+    fallback's result, or raises the same exception, on random trails; the
+    trails reach every part of the walk."""
+    seen = Counter()
+    expand, negate = fallback_ref._expand_change, fallback_ref._negated_atom
+    negated = []
+
+    def counting_expand(trail, ch, used):
+        if isinstance(ch.reason, DisjunctionReason):
+            seen["disjunction reason"] += 1
+        if trail.variables[ch.var].kind is VarKind.CONTINUOUS:
+            seen["continuous"] += 1
+        return expand(trail, ch, used)
+
+    def recording_negate(ch, variables):
+        atom = negate(ch, variables)
+        negated.append((atom.var, atom.kind))
+        return atom
+
+    monkeypatch.setattr(fallback_ref, "_expand_change", counting_expand)
+    monkeypatch.setattr(fallback_ref, "_negated_atom", recording_negate)
+    rng = random.Random(2023)
+    for _ in range(3000):
+        trail, conflict = _random_fallback_case(rng)
+        negated.clear()
+        want = _fallback_outcome(fallback_ref.graph_fallback, trail, conflict)
+        got = _fallback_outcome(graph_fallback, trail, conflict)
+        assert got == want
+        if isinstance(want, type):
+            continue
+        if want.learned is not None:
+            assert type(got.learned) is type(want.learned)
+            assert got.learned.origin == want.learned.origin
+            seen[type(want.learned).__name__] += 1
+        seen[want.outcome] += 1
+        if len(set(negated)) < len(negated):
+            seen["dedupe"] += 1
+    for what in (
+        "disjunction reason",
+        "continuous",
+        "dedupe",
+        "LinearConstraint",
+        "BoundDisjunction",
+        "global_infeasibility",
+    ):
+        assert seen[what] > 0, (what, seen)
 
 
 # -- analysis loop corner cases ----------------------------------------------

@@ -51,15 +51,22 @@ def test_script_main_succeeds(name, argv, capsys):
 
 # sha256 of ``transcript.py --every 20``'s output.  A change that means to
 # change the search updates it and says so.
-TRANSCRIPT_EVERY_20_SHA256 = "caf1e2fe289c10f023f24e875960a5f942fcec83198ffb7df5f5445f2cd050f8"
+TRANSCRIPT_EVERY_20_SHA256 = "2c5d60989d6cb7e5ec09b2f145a0ac2bb72354aade5690c1de14d5b7dbffdf61"
 
 
 def test_transcript_is_unchanged(capsys):
-    """Every 20th sweep seed, the desk corpus and PHP(p, p - 1) give the
-    committed transcript: a refactor that is meant to keep the search
-    keeps every result, statistic, learned object and analysis."""
+    """Every 20th sweep seed with the named seeds, the desk corpus and
+    PHP(p, p - 1) give the committed transcript: a refactor that is meant
+    to keep the search keeps every result, statistic, learned object and
+    analysis.  The sample reaches every reason handler and outcome."""
     assert _load("transcript").main(["--every", "20"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    out = capsys.readouterr().out
+    counts = dict(
+        item.split("=") for item in out.splitlines()[-1].split() if "=" in item
+    )
+    for key in ("mbp", "int-resolve", "separation-cut", "global_infeasibility"):
+        assert int(counts.get(key, 0)) > 0, key
+    digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == TRANSCRIPT_EVERY_20_SHA256, (
         "the transcript changed; diff the full output of "
         "`PYTHONPATH=src python3 scripts/transcript.py` under this tree and "
