@@ -4,7 +4,9 @@ Feasibility, optima and learned-object validity are decided by exhaustive
 enumeration of the integral box combined with Fourier-Motzkin elimination of
 the continuous variables.  The box is enumerated in ``int``s against rows
 scaled to integer coefficients, so a purely integral row costs an integer
-dot product per point; results are still exact ``Fraction``s.  This module
+dot product per point; results are still exact ``Fraction``s.  Every answer
+reads one query, ``_IntegralBox.lowest``: the lowest value of one auxiliary
+variable at each feasible point, under a few extra rows.  This module
 deliberately shares no propagation or cut code with the solver so it can
 certify the solver's output, whole answers with ``check_answer``.
 """
@@ -18,7 +20,6 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import (
-    BoundAtom,
     BoundDisjunction,
     BoundKind,
     LinearConstraint,
@@ -85,13 +86,6 @@ def fm_eliminate(system: Sequence[Row], var: int, cap: int = FM_ROW_CAP) -> List
     return out
 
 
-def _system_feasible(system: Sequence[Row], variables: Sequence[int]) -> bool:
-    work = list(system)
-    for v in variables:
-        work = fm_eliminate(work, v)
-    return all(rhs <= 0 for coefs, rhs in work if not coefs)
-
-
 def _var_range_rows(problem: Problem, var: int) -> List[Row]:
     v = problem.variables[var]
     rows: List[Row] = []
@@ -102,16 +96,11 @@ def _var_range_rows(problem: Problem, var: int) -> List[Row]:
     return rows
 
 
-def _split_vars(problem: Problem) -> Tuple[List[int], List[int]]:
+def _check_size(problem: Problem) -> Tuple[List[int], List[int]]:
     integral = [v.index for v in problem.variables if v.is_integral]
     continuous = [
         v.index for v in problem.variables if v.kind is VarKind.CONTINUOUS
     ]
-    return integral, continuous
-
-
-def _check_size(problem: Problem) -> Tuple[List[int], List[int]]:
-    integral, continuous = _split_vars(problem)
     if len(integral) > MAX_INTEGRAL_VARS:
         raise OracleError(
             f"{len(integral)} integral variables exceed the limit of "
@@ -157,13 +146,27 @@ def _dot(pairs: Tuple[Tuple[int, int], ...], values: Tuple[int, ...]) -> int:
     return total
 
 
+def _residual(rows: Sequence[_Scaled], values: Tuple[int, ...]) -> List[Row]:
+    """``rows`` over the continuous variables left at the point ``values``."""
+    return [
+        (cont, Fraction(rhs - _dot(pairs, values), scale))
+        for pairs, rhs, scale, cont in rows
+    ]
+
+
+# The elimination stages of one point: each continuous variable with the
+# system it was projected out of, in elimination order.
+Stages = List[Tuple[int, List[Row]]]
+
+
 class _IntegralBox:
     """The one enumeration core: the integral box of a problem in ``int``s.
 
     Built once per oracle call, after the size checks.  Each model row is
     scaled to integers once; a row without continuous terms is then checked
     at every point by an integer dot product, and only rows with continuous
-    terms enter the residual system handed to Fourier-Motzkin.
+    terms enter the residual system handed to Fourier-Motzkin.  The
+    auxiliary variable of ``lowest`` is x_t with ``t = num_vars``.
     """
 
     def __init__(self, problem: Problem):
@@ -196,21 +199,40 @@ class _IntegralBox:
             {j: a for j, a in terms if j not in self.position},
         )
 
-    def points(self) -> Iterator[Tuple[Tuple[int, ...], List[Row]]]:
-        """Each point satisfying every purely integral row, in
-        ``itertools.product`` order, with its residual continuous system:
-        the mixed rows in model order, then the continuous bound rows."""
+    def lowest(
+        self, extra: Sequence[_Scaled] = ()
+    ) -> Iterator[Tuple[Tuple[int, ...], Optional[Rat], Stages]]:
+        """``(values, low, stages)`` for each point, in ``itertools.product``
+        order, that extends to a feasible point of the model plus the
+        ``extra`` rows (scaled by ``scale``), which may bound x_t from
+        below but never from above.
+
+        The residual system (the mixed rows in model order, the continuous
+        bound rows, then the extra rows) has its continuous variables
+        projected out; ``low`` is the lowest value of x_t, or None when x_t
+        is unbounded below (always so without a row on x_t)."""
         checks, mixed, ranges = self._checks, self._mixed, self._ranges
+        t = self.num_vars
         for values in itertools.product(*self._domains):
             for pairs, rhs in checks:
                 if _dot(pairs, values) < rhs:
                     break
             else:
-                residual = [
-                    (cont, Fraction(rhs - _dot(pairs, values), scale))
-                    for pairs, rhs, scale, cont in mixed
-                ]
-                yield values, residual + ranges
+                work = _residual(mixed, values) + ranges + _residual(extra, values)
+                stages: Stages = []
+                for v in self.continuous:
+                    stages.append((v, work))
+                    work = fm_eliminate(work, v)
+                low: Optional[Rat] = None
+                for coefs, rhs in work:
+                    if not coefs:
+                        if rhs > 0:
+                            break
+                    elif coefs.get(t, ZERO) > 0:
+                        bound = rhs / coefs[t]
+                        low = bound if low is None or bound > low else low
+                else:
+                    yield values, low, stages
 
     def assignment(self, values: Tuple[int, ...]) -> Dict[int, Rat]:
         return {j: Fraction(x) for j, x in zip(self.integral, values)}
@@ -219,16 +241,10 @@ class _IntegralBox:
 def enumerate_feasible(problem: Problem) -> List[Dict[int, Rat]]:
     """All integral assignments that extend to a feasible point."""
     box = _IntegralBox(problem)
-    return [
-        box.assignment(values)
-        for values, rows in box.points()
-        if _system_feasible(rows, box.continuous)
-    ]
+    return [box.assignment(values) for values, _, _ in box.lowest()]
 
 
-def _back_substitute(
-    stages: List[Tuple[int, List[Row]]], fixed: Dict[int, Rat]
-) -> Dict[int, Rat]:
+def _back_substitute(stages: Stages, fixed: Dict[int, Rat]) -> Dict[int, Rat]:
     """Pick values for eliminated variables in reverse elimination order."""
     values = dict(fixed)
     for var, system in reversed(stages):
@@ -271,38 +287,22 @@ def oracle_optimum(problem: Problem) -> OracleOptimum:
     box = _IntegralBox(problem)
     objective = box.scale(problem.objective or (), ZERO)
     t = box.num_vars  # epigraph variable for the continuous part
-    epi: Optional[Row] = None
+    epigraph: List[_Scaled] = []
     if objective.cont:
-        epi = ({t: ONE, **{j: -c for j, c in objective.cont.items()}}, ZERO)
+        terms = ((t, ONE), *((j, -c) for j, c in objective.cont.items()))
+        epigraph.append(box.scale(terms, ZERO))
     best: Optional[Rat] = None
     best_witness: Optional[Tuple[Rat, ...]] = None
-    for values, work in box.points():
-        if epi is not None:
-            work.append(epi)
-        stages: List[Tuple[int, List[Row]]] = []
-        for v in box.continuous:
-            stages.append((v, work))
-            work = fm_eliminate(work, v)
-        if any(rhs > 0 for coefs, rhs in work if not coefs):
-            continue
+    for values, low, stages in box.lowest(epigraph):
         value = Fraction(_dot(objective.pairs, values), objective.scale)
-        if epi is not None:
-            t_lb: Optional[Rat] = None
-            for coefs, rhs in work:
-                a = coefs.get(t, ZERO)
-                if a > 0:
-                    bound = rhs / a
-                    t_lb = bound if t_lb is None or bound > t_lb else t_lb
-            if t_lb is None:
+        if epigraph:
+            if low is None:
                 raise OracleError("continuous objective part is unbounded below")
-            value += t_lb
+            value += low
         if best is None or value < best:
-            fixed = box.assignment(values)
-            if epi is not None:
-                fixed[t] = t_lb
-            point = _back_substitute(stages, fixed)
+            point = _back_substitute(stages, {**box.assignment(values), t: low})
             best = value
-            best_witness = tuple(point[j] for j in range(box.num_vars))
+            best_witness = tuple(point[j] for j in range(t))
     if best is None:
         return OracleOptimum("infeasible")
     return OracleOptimum("optimal", best, best_witness)
@@ -311,89 +311,37 @@ def oracle_optimum(problem: Problem) -> OracleOptimum:
 def validate_learned(
     problem: Problem, learned: Union[LinearConstraint, BoundDisjunction]
 ) -> bool:
-    """True iff every feasible point of the problem satisfies the object."""
-    box = _IntegralBox(problem)
+    """True iff every feasible point of the problem satisfies the object.
+
+    The object's slack is ``C·x − b`` for a row ``C·x ≥ b``, and the largest
+    of ``x_j − v`` for an atom ``x_j ≥ v`` and ``v − x_j`` for ``x_j ≤ v``
+    over a disjunction's atoms; the object holds where its slack is
+    nonnegative.  With one row ``x_t ≥ slack`` per row or atom, it is valid
+    iff the lowest x_t is bounded and nonnegative at every feasible point.
+    Raises ``ValueError`` on a term or atom outside the problem.
+    """
+    t = len(problem.variables)
     if isinstance(learned, LinearConstraint):
-        return _validate_row(box, learned)
-    return _validate_disjunction(box, learned)
-
-
-def _validate_row(box: _IntegralBox, learned: LinearConstraint) -> bool:
-    row = box.scale(learned.terms, learned.rhs)
-    t = box.num_vars  # value of the learned row's continuous part
-    # Pin t to the continuous part with two opposite rows, project
-    # everything else out, and read off the implied minimum of t.
-    pin = [
-        ({t: ONE, **{j: -a for j, a in row.cont.items()}}, ZERO),
-        ({t: -ONE, **row.cont}, ZERO),
+        slacks = [(learned.terms, learned.rhs)]
+    else:
+        slacks = [
+            (((a.var, ONE),), a.value)
+            if a.kind is BoundKind.LOWER
+            else (((a.var, -ONE),), -a.value)
+            for a in learned.atoms
+        ]
+    for terms, _ in slacks:
+        for j, _ in terms:
+            if not 0 <= j < t:
+                raise ValueError(
+                    f"learned object references undeclared variable index {j}"
+                )
+    box = _IntegralBox(problem)
+    rows = [
+        box.scale(((t, ONE), *((j, -a) for j, a in terms)), -rhs)
+        for terms, rhs in slacks
     ]
-    for values, rows in box.points():
-        lhs = _dot(row.pairs, values)
-        if not row.cont:
-            if _system_feasible(rows, box.continuous) and lhs < row.rhs:
-                return False
-            continue
-        work = rows + pin
-        for v in box.continuous:
-            work = fm_eliminate(work, v)
-        if any(rhs > 0 for coefs, rhs in work if not coefs):
-            continue
-        t_min: Optional[Rat] = None
-        for coefs, rhs in work:
-            a = coefs.get(t, ZERO)
-            if a > 0:
-                bound = rhs / a
-                t_min = bound if t_min is None or bound > t_min else t_min
-        if t_min is None:
-            return False  # continuous part can be arbitrarily negative
-        if lhs + row.scale * t_min < row.rhs:
-            return False
-    return True
-
-
-def _validate_disjunction(box: _IntegralBox, learned: BoundDisjunction) -> bool:
-    s = box.num_vars  # strictness margin for continuous negations
-    # Negate every continuous atom; a violating point must defeat all of them.
-    integral_atoms: List[Tuple[int, BoundAtom]] = []
-    neg_rows: List[Row] = []
-    for atom in learned.atoms:
-        if atom.var in box.position:
-            integral_atoms.append((box.position[atom.var], atom))
-        elif atom.kind is BoundKind.LOWER:
-            # not (x >= v): x <= v - s with margin s > 0
-            neg_rows.append(({atom.var: -ONE, s: -ONE}, -atom.value))
-        else:
-            neg_rows.append(({atom.var: ONE, s: -ONE}, atom.value))
-    if neg_rows:
-        neg_rows.append(({s: ONE}, ZERO))
-    for values, rows in box.points():
-        if any(
-            values[k] >= atom.value
-            if atom.kind is BoundKind.LOWER
-            else values[k] <= atom.value
-            for k, atom in integral_atoms
-        ):
-            continue  # the assignment satisfies the disjunction
-        if not neg_rows:
-            # All atoms integral and all false at this assignment: it must
-            # not be feasible.
-            if _system_feasible(rows, box.continuous):
-                return False
-            continue
-        work = rows + neg_rows
-        for v in box.continuous:
-            work = fm_eliminate(work, v)
-        if any(rhs > 0 for coefs, rhs in work if not coefs):
-            continue
-        s_max: Optional[Rat] = None
-        for coefs, rhs in work:
-            a = coefs.get(s, ZERO)
-            if a < 0:
-                bound = rhs / a
-                s_max = bound if s_max is None or bound < s_max else s_max
-        if s_max is None or s_max > 0:
-            return False
-    return True
+    return all(low is not None and low >= 0 for _, low, _ in box.lowest(rows))
 
 
 LIMIT_REASON = "the solver hit a limit"

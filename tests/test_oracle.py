@@ -212,12 +212,17 @@ def test_validate_row_with_continuous_part():
     vs = [
         Variable(0, "x", VarKind.BINARY, F(0), F(1)),
         Variable(1, "y", VarKind.CONTINUOUS, F(0), F(2)),
+        Variable(2, "w", VarKind.CONTINUOUS, NEG_INF, F(0)),
     ]
     p = build_problem(vs, [({0: F(2), 1: F(1)}, ">=", F(3))])
     # implied: feasibility forces x = 1 and y >= 1
     assert validate_learned(p, mk({0: 1}, 1))
     assert validate_learned(p, mk({1: 1}, 1))
     assert not validate_learned(p, mk({1: 1}, F(3, 2)))
+    # w <= 0 bounds -w below, but nothing bounds w or y + w below
+    assert validate_learned(p, mk({2: -1}, 0))
+    assert not validate_learned(p, mk({2: 1}, -100))
+    assert not validate_learned(p, mk({1: 1, 2: 1}, -100))
 
 
 def test_validate_disjunction():
@@ -231,6 +236,19 @@ def test_validate_disjunction():
     assert validate_learned(p, good)
     bad = BoundDisjunction((BoundAtom(0, BoundKind.LOWER, F(1)),))
     assert not validate_learned(p, bad)
+    # On an integral z, z >= 5/2 holds iff z >= 3 and z <= 5/2 iff z <= 2.
+    z = [Variable(0, "z", VarKind.INTEGER, F(0), F(5))]
+    lower = BoundDisjunction((BoundAtom(0, BoundKind.LOWER, F(5, 2)),))
+    upper = BoundDisjunction((BoundAtom(0, BoundKind.UPPER, F(5, 2)),))
+    for rows, lower_valid, upper_valid in [
+        ([({0: F(1)}, ">=", F(3))], True, False),  # z in [3, 5]
+        ([({0: F(1)}, ">=", F(2))], False, False),  # z = 2 and z = 3 feasible
+        ([({0: F(1)}, "<=", F(2))], False, True),  # z in [0, 2]
+        ([({0: F(1)}, "<=", F(3))], False, False),  # z = 3 feasible
+    ]:
+        p = build_problem(z, rows)
+        assert validate_learned(p, lower) is lower_valid, rows
+        assert validate_learned(p, upper) is upper_valid, rows
 
 
 def test_validate_disjunction_continuous_atom():
@@ -245,6 +263,28 @@ def test_validate_disjunction_continuous_atom():
     assert not validate_learned(
         p, BoundDisjunction((BoundAtom(1, BoundKind.LOWER, F(3, 2)),))
     )
+    # y <= 1 as well forces y = 1: each atom's slack is exactly 0 there
+    pinned = build_problem(
+        vs, [({0: F(2), 1: F(1)}, ">=", F(3)), ({1: F(1)}, "<=", F(1))]
+    )
+    for kind in BoundKind:
+        atom = BoundAtom(1, kind, F(1))
+        assert validate_learned(pinned, BoundDisjunction((atom,)))
+    assert not validate_learned(
+        pinned, BoundDisjunction((BoundAtom(1, BoundKind.UPPER, F(1, 2)),))
+    )
+
+
+def test_validate_rejects_undeclared_variables():
+    """Index n is past the last variable of an n-variable problem."""
+    p = binary_problem(1, [])
+    for obj, j in [
+        (mk({1: 1}, -5), 1),
+        (mk({0: 1, 2: 1}, -5), 2),
+        (BoundDisjunction((BoundAtom(1, BoundKind.LOWER, F(0)),)), 1),
+    ]:
+        with pytest.raises(ValueError, match=f"undeclared variable index {j}$"):
+            validate_learned(p, obj)
 
 
 def test_validate_on_infeasible_problem_is_vacuous():
