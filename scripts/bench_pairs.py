@@ -12,18 +12,22 @@ sides' medians and quartiles, the pairs the change wins (a tie counts for
 neither side) and the relative change of the median next to the metric's
 ``bound``; a line with each side's median ``attempted`` and the pooled
 least-squares slope of ``peak_rss_mb`` on ``attempted`` in KB per call
-(one slope over both sides' runs, each side about its own mean), so an RSS
-move can be read against the calls each side made; and one line that names
-the metrics whose median is worse than the parent's by more than their
-bound (``over bound: none`` if there are none).  With ``--claim METRIC``
-one verdict line follows: the claim is met iff the change wins at least 9
-of every 10 pairs on METRIC and its median is better than the parent's by
-more than the parent's interquartile range.
+(one slope over both sides' runs, each side about its own mean); a line
+with the observed move of the median ``peak_rss_mb`` beside the move the
+extra calls explain, the slope times the difference of median
+``attempted``, each in MB and as a share of the parent's median, so that an
+RSS rise the benchmark's per-call records cause can be told from a leak in
+the solver; and one line that names the metrics whose median is worse than
+the parent's by more than their bound (``over bound: none`` if there are
+none).  With ``--claim METRIC`` one verdict line follows: the claim is met
+iff the change wins at least 9 of every 10 pairs on METRIC and its median
+is better than the parent's by more than the parent's interquartile range.
 The last line of standard output is all of it as one JSON object, the
 metrics over their bound under ``over_bound`` and the verdict under
-``claim``, the median ``attempted`` under ``attempted`` and the slope
-under ``rss_kb_per_call``.  The exit status is 1 if any run was not
-correct or any metric is over its bound.
+``claim``, the median ``attempted`` under ``attempted``, the slope under
+``rss_kb_per_call`` and the explained move under ``rss_explained_mb``.
+The exit status is 1 if any run was not correct or any metric is over its
+bound.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ def main(argv=None) -> int:
     ok = all(r["correct"] for side in SIDES for r in runs[side])
     summary = {}
     over = []
-    attempted, slope = None, None
+    attempted, slope, explained = None, None, None
     if ok:
         for metric in end_to_end:
             s = summary[metric["name"]] = summarize(metric, runs)
@@ -177,6 +181,19 @@ def main(argv=None) -> int:
             f"attempted: parent {attempted['parent']:.6g}  change {attempted['change']:.6g}"
             "  peak_rss_mb on attempted: "
             + ("n/a" if slope is None else f"{slope:.3g} KB per call")
+        )
+        rss = summary["peak_rss_mb"]
+        parent_rss = rss["parent"]["median"]
+        if slope is not None:
+            explained = slope * (attempted["change"] - attempted["parent"]) / 1024
+
+        def move(mb):
+            return f"{mb:+.3g} MB ({mb / parent_rss:+.1%})"
+
+        print(
+            f"peak_rss_mb move: observed {move(rss['change']['median'] - parent_rss)}"
+            "  explained by attempted "
+            + ("n/a" if explained is None else move(explained))
         )
         over = [name for name, s in summary.items() if s["over_bound"]]
         print(f"over bound: {', '.join(over) or 'none'}")
@@ -198,7 +215,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "workload": args.workload, "seconds": args.seconds, "correct": ok,
         "runs": runs, "summary": summary, "attempted": attempted,
-        "rss_kb_per_call": slope, "over_bound": over, "claim": claim,
+        "rss_kb_per_call": slope, "rss_explained_mb": explained,
+        "over_bound": over, "claim": claim,
     }))
     return 0 if ok and not over else 1
 

@@ -85,8 +85,9 @@ class _ActivityWalk:
         self.coef = dict(terms)
         top, bottom = global_contributions(C, variables)
         self.finite = top.finite
-        # j -> a_j times the bound that maximizes (minimizes) the term
-        self.top, self.bottom = top.contribs, bottom.contribs
+        # j -> a_j times the bound that maximizes (minimizes) the term; the
+        # row keeps the global ones, so the walk updates copies.
+        self.top, self.bottom = dict(top.contribs), dict(bottom.contribs)
         self.unbounded = {j for j, t in self.top.items() if t is None}
         self.widest = self.span = None  # the widest span's j and width, once known
 

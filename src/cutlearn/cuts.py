@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .model import (
@@ -56,18 +55,27 @@ class ReductionStrategy(enum.Enum):
 
 
 def resolve(C1: LinearConstraint, C2: LinearConstraint, var: int) -> LinearConstraint:
-    """Positive combination of C1 and C2 cancelling ``var``.
+    """Positive combination C1 + (|a1|/|a2|)·C2 cancelling ``var``.
 
-    C2 is scaled by |a1_var| / |a2_var| so C1 enters with unit weight; the
-    result has coefficient exactly 0 on var.
+    It is built in ``int``s from the integer-scaled rows: with A1, A2 their
+    coefficients on var and s1 C1's scale, |A2|·C1 + |A1|·C2 (scaled rows)
+    is the resolvent times s1·|A2|, and the row is returned with that form,
+    divided by its gcd, as its ``int_scaled()``.
     """
-    a1 = C1.coef(var)
-    a2 = C2.coef(var)
-    if a1 == 0 or a2 == 0:
+    s1, terms1, b1 = C1.int_scaled()
+    _, terms2, b2 = C2.int_scaled()
+    A1, A2 = dict(terms1).get(var, 0), dict(terms2).get(var, 0)
+    if A1 == 0 or A2 == 0:
         raise CutError(f"variable {var} missing from a resolution operand")
-    if (a1 > 0) == (a2 > 0):
+    if (A1 > 0) == (A2 > 0):
         raise CutError(f"variable {var} has same-sign coefficients; cannot resolve")
-    return C1.combined(C2, abs(a1) / abs(a2), origin="derived")
+    g = math.gcd(A1, A2)
+    m1, m2 = abs(A2) // g, abs(A1) // g
+    acc = {j: m1 * a for j, a in terms1}
+    for j, a in terms2:
+        acc[j] = acc.get(j, 0) + m2 * a
+    terms = tuple(sorted((j, a) for j, a in acc.items() if a))
+    return LinearConstraint.from_int_form(s1 * m1, terms, m1 * b1 + m2 * b2)
 
 
 # -- basic operators ----------------------------------------------------------
@@ -118,9 +126,12 @@ def coef_tighten(
             rhs -= (a + btilde) * v.global_ub
     if not clipped:
         return C.with_origin("derived")
+    # Clipping keeps the terms' order and makes no coefficient 0; btilde is
+    # fractional only through a fractional continuous bound.
+    d = btilde.denominator
     coefs = {**dict(terms), **clipped}
-    return LinearConstraint.from_dict(
-        {j: Fraction(a, scale) for j, a in coefs.items()}, Fraction(rhs, scale), "derived"
+    return LinearConstraint.from_int_form(
+        scale * d, tuple((j, int(a * d)) for j, a in coefs.items()), int(rhs * d)
     )
 
 

@@ -145,15 +145,32 @@ class LinearConstraint:
         terms = tuple((j, c.numerator * (scale // c.denominator)) for j, c in self.terms)
         return scale, terms, self.rhs.numerator * (scale // self.rhs.denominator)
 
+    @staticmethod
+    def from_int_form(
+        scale: int, terms: Tuple[Tuple[int, int], ...], rhs: int
+    ) -> "LinearConstraint":
+        """The row ``terms / scale >= rhs / scale`` under origin "derived",
+        for sorted nonzero ``int`` terms and a positive ``scale``, with that
+        form divided by its gcd as its ``int_scaled()``: dividing by the gcd
+        leaves the lcm of the row's denominators as the scale."""
+        g = math.gcd(scale, rhs, *(a for _, a in terms))
+        if g > 1:
+            scale, rhs = scale // g, rhs // g
+            terms = tuple((j, a // g) for j, a in terms)
+        C = LinearConstraint(
+            tuple((j, Fraction(a, scale)) for j, a in terms), Fraction(rhs, scale), "derived"
+        )
+        C.__dict__["_int_form"] = (scale, terms, rhs)
+        return C
+
     def global_span(self, variables: Sequence[Variable]) -> Ext:
         """The row's widest span max_j |a_j|·(global ub_j − global lb_j) over
         ``variables``, INF if one of those bounds is infinite, 0 for a row
-        without terms.  It is cached on the row with the ``variables`` object
-        it was computed for, and reused only for that same object: a row can
-        be used with others."""
-        cached = self.__dict__.get("_span")
-        if cached is not None and cached[0] is variables:
-            return cached[1]
+        without terms.  It is kept in the row's ``global_contributions``
+        cache, for the same ``variables`` object only."""
+        cached = self.__dict__.get("_global")
+        if cached is not None and cached[0] is variables and cached[3] is not None:
+            return cached[3]
         top, bottom = global_contributions(self, variables)
         if top.infinite or bottom.infinite:
             span = INF
@@ -162,15 +179,16 @@ class LinearConstraint:
                 (t - bottom.contribs[j] for j, t in top.contribs.items()), default=0
             )
             span = Fraction(widest, self.int_scaled()[0])
-        self.__dict__["_span"] = (variables, span)
+        self.__dict__["_global"] = (variables, top, bottom, span)
         return span
 
     def with_origin(self, origin: str) -> "LinearConstraint":
         """The same row under another ``origin``, with its integer-scaled
-        form if that is computed already."""
+        form and its global contributions if those are computed already."""
         out = LinearConstraint(self.terms, self.rhs, origin)
-        if "_int_form" in self.__dict__:
-            out.__dict__["_int_form"] = self._int_form
+        for key in ("_int_form", "_global"):
+            if key in self.__dict__:
+                out.__dict__[key] = self.__dict__[key]
         return out
 
     def __len__(self) -> int:
@@ -186,31 +204,6 @@ class LinearConstraint:
             self.rhs * factor,
             self.origin,
         )
-
-    def combined(self, other: "LinearConstraint", mult: Rat, origin: str = "derived") -> "LinearConstraint":
-        """Return self + mult * other for a positive multiplier.
-
-        Both operands' terms are already exact and nonzero, so only a sum of
-        two terms can cancel, and the result's terms are built directly.
-        """
-        mult = _exact(mult, "aggregation", "multiplier")
-        if mult <= 0:
-            raise ValueError("aggregation multiplier must be positive")
-        if mult == 1:
-            added, rhs = other.terms, self.rhs + other.rhs
-        else:
-            added = [(j, mult * c) for j, c in other.terms]
-            rhs = self.rhs + mult * other.rhs
-        acc = dict(self.terms)
-        for j, c in added:
-            a = acc.get(j)
-            if a is not None:
-                c = a + c
-                if not c:
-                    del acc[j]
-                    continue
-            acc[j] = c
-        return LinearConstraint(tuple(sorted(acc.items())), rhs, origin)
 
     def canonical_scale(self) -> "LinearConstraint":
         """Scale so coefficients are integers with gcd 1 (rhs follows along)."""
@@ -288,8 +281,13 @@ def global_contributions(
     row at the global bounds of ``variables``, in one pass over its terms.
 
     A term's max (min) contribution is a_j times the global bound of x_j
-    that maximizes (minimizes) it, None where that bound is infinite.
+    that maximizes (minimizes) it, None where that bound is infinite.  They
+    are computed once per row and ``variables`` object and kept on the row,
+    so a caller that updates the dicts updates copies.
     """
+    cached = C.__dict__.get("_global")
+    if cached is not None and cached[0] is variables:
+        return cached[1], cached[2]
     _, terms, _ = C.int_scaled()
     top = bottom = 0
     top_infinite = bottom_infinite = 0
@@ -310,7 +308,9 @@ def global_contributions(
         else:
             bottoms[j] = None
             bottom_infinite += 1
-    return Activity(top, top_infinite, tops), Activity(bottom, bottom_infinite, bottoms)
+    out = Activity(top, top_infinite, tops), Activity(bottom, bottom_infinite, bottoms)
+    C.__dict__["_global"] = (variables, *out, None)  # the span, once asked for
+    return out
 
 
 @dataclass(frozen=True)

@@ -68,15 +68,16 @@ def fm_eliminate(system: Sequence[Row], var: int, cap: int = FM_ROW_CAP) -> List
         a = pcoefs[var]
         for ncoefs, nrhs in neg:
             b = -ncoefs[var]
+            # g divides a and b: the multipliers are ints, and int rows stay so.
             g = _rational_gcd(a, b)
-            m_p, m_n = b / g, a / g
+            m_p, m_n = b // g, a // g
             coefs: Dict[int, Rat] = {}
             for j, c in pcoefs.items():
                 if j != var:
-                    coefs[j] = coefs.get(j, ZERO) + m_p * c
+                    coefs[j] = coefs.get(j, 0) + m_p * c
             for j, c in ncoefs.items():
                 if j != var:
-                    coefs[j] = coefs.get(j, ZERO) + m_n * c
+                    coefs[j] = coefs.get(j, 0) + m_n * c
             coefs = {j: c for j, c in coefs.items() if c != 0}
             out.append((coefs, m_p * prhs + m_n * nrhs))
             if len(out) > cap:
@@ -87,12 +88,13 @@ def fm_eliminate(system: Sequence[Row], var: int, cap: int = FM_ROW_CAP) -> List
 
 
 def _var_range_rows(problem: Problem, var: int) -> List[Row]:
+    """x_var's finite global bounds n/d as ``int`` rows d·x ≥ n and -d·x ≥ -n."""
     v = problem.variables[var]
     rows: List[Row] = []
     if is_finite(v.global_lb):
-        rows.append(({var: ONE}, Fraction(v.global_lb)))
+        rows.append(({var: v.global_lb.denominator}, v.global_lb.numerator))
     if is_finite(v.global_ub):
-        rows.append(({var: -ONE}, -Fraction(v.global_ub)))
+        rows.append(({var: -v.global_ub.denominator}, -v.global_ub.numerator))
     return rows
 
 
@@ -127,10 +129,11 @@ def _check_size(problem: Problem) -> Tuple[List[int], List[int]]:
 class _Scaled(NamedTuple):
     """``sum a_j x_j >= rhs`` over an integral box, scaled to integers.
 
-    ``pairs`` holds ``(position, scale * a_j)`` for each integral term, where
-    position indexes the enumerated value tuple; ``rhs`` is ``scale * rhs``
-    and ``scale`` the lcm of the denominators of the integral coefficients
-    and the rhs.  ``cont`` keeps the continuous terms unscaled.
+    ``scale`` is the lcm of the denominators of the coefficients and the
+    rhs.  ``pairs`` holds ``(position, scale * a_j)`` for each integral
+    term, where position indexes the enumerated value tuple; ``rhs`` is
+    ``scale * rhs``, and ``cont`` maps each other term's j to
+    ``scale * a_j``.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -147,11 +150,9 @@ def _dot(pairs: Tuple[Tuple[int, int], ...], values: Tuple[int, ...]) -> int:
 
 
 def _residual(rows: Sequence[_Scaled], values: Tuple[int, ...]) -> List[Row]:
-    """``rows`` over the continuous variables left at the point ``values``."""
-    return [
-        (cont, Fraction(rhs - _dot(pairs, values), scale))
-        for pairs, rhs, scale, cont in rows
-    ]
+    """``rows`` over the continuous variables left at the point ``values``,
+    still scaled, so in ``int``s."""
+    return [(cont, rhs - _dot(pairs, values)) for pairs, rhs, _, cont in rows]
 
 
 # The elimination stages of one point: each continuous variable with the
@@ -190,13 +191,13 @@ class _IntegralBox:
         ]
 
     def scale(self, terms: Sequence[Tuple[int, Rat]], rhs: Rat) -> _Scaled:
-        ints = [(self.position[j], a) for j, a in terms if j in self.position]
-        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in ints))
+        scale = math.lcm(rhs.denominator, *(a.denominator for _, a in terms))
+        scaled = [(j, a.numerator * (scale // a.denominator)) for j, a in terms]
         return _Scaled(
-            tuple((k, a.numerator * (scale // a.denominator)) for k, a in ints),
+            tuple((self.position[j], a) for j, a in scaled if j in self.position),
             rhs.numerator * (scale // rhs.denominator),
             scale,
-            {j: a for j, a in terms if j not in self.position},
+            {j: a for j, a in scaled if j not in self.position},
         )
 
     def lowest(
@@ -208,9 +209,10 @@ class _IntegralBox:
         below but never from above.
 
         The residual system (the mixed rows in model order, the continuous
-        bound rows, then the extra rows) has its continuous variables
-        projected out; ``low`` is the lowest value of x_t, or None when x_t
-        is unbounded below (always so without a row on x_t)."""
+        bound rows, then the extra rows) is in ``int``s and has its
+        continuous variables projected out; ``low`` is the lowest value of
+        x_t, or None when x_t is unbounded below (always so without a row on
+        x_t).  It is the one Fraction built per point."""
         checks, mixed, ranges = self._checks, self._mixed, self._ranges
         t = self.num_vars
         for values in itertools.product(*self._domains):
@@ -223,16 +225,18 @@ class _IntegralBox:
                 for v in self.continuous:
                     stages.append((v, work))
                     work = fm_eliminate(work, v)
-                low: Optional[Rat] = None
+                # The largest bound rhs / a_t, as (rhs, a_t) with a_t > 0.
+                low: Optional[Tuple[int, int]] = None
                 for coefs, rhs in work:
                     if not coefs:
                         if rhs > 0:
                             break
-                    elif coefs.get(t, ZERO) > 0:
-                        bound = rhs / coefs[t]
-                        low = bound if low is None or bound > low else low
+                    else:
+                        a = coefs.get(t, 0)
+                        if a > 0 and (low is None or rhs * low[1] > low[0] * a):
+                            low = rhs, a
                 else:
-                    yield values, low, stages
+                    yield values, None if low is None else Fraction(*low), stages
 
     def assignment(self, values: Tuple[int, ...]) -> Dict[int, Rat]:
         return {j: Fraction(x) for j, x in zip(self.integral, values)}
@@ -289,7 +293,8 @@ def oracle_optimum(problem: Problem) -> OracleOptimum:
     t = box.num_vars  # epigraph variable for the continuous part
     epigraph: List[_Scaled] = []
     if objective.cont:
-        terms = ((t, ONE), *((j, -c) for j, c in objective.cont.items()))
+        # t ≥ the continuous part, times the objective's scale.
+        terms = ((t, objective.scale), *((j, -c) for j, c in objective.cont.items()))
         epigraph.append(box.scale(terms, ZERO))
     best: Optional[Rat] = None
     best_witness: Optional[Tuple[Rat, ...]] = None

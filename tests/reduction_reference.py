@@ -9,6 +9,10 @@ the reference for the differential test in ``test_cuts.py``.  Only the model,
 the trail, ``resolve`` and the error types are shared with ``cutlearn``, so
 that results and failures compare equal; ``test_cuts.py`` maps this
 ``resolve_general_integer``'s results and the solver's to one form.
+
+``resolve_in_fractions`` is resolution as it was before ``resolve`` ran on
+the integer-scaled rows: the composition C1 + (|a1|/|a2|)·C2 summed term by
+term in ``Fraction``s, the reference for ``resolve`` itself.
 """
 
 from __future__ import annotations
@@ -33,6 +37,22 @@ from cutlearn.rationals import (
 from cutlearn.trail import StateId, Trail
 
 from conftest import infeasible_at, reference_max_activity
+
+
+def resolve_in_fractions(
+    C1: LinearConstraint, C2: LinearConstraint, var: int
+) -> LinearConstraint:
+    """C1 + (|a1|/|a2|)·C2, which cancels ``var``, in ``Fraction``s."""
+    a1, a2 = C1.coef(var), C2.coef(var)
+    if a1 == 0 or a2 == 0:
+        raise CutError(f"variable {var} missing from a resolution operand")
+    if (a1 > 0) == (a2 > 0):
+        raise CutError(f"variable {var} has same-sign coefficients; cannot resolve")
+    mult = abs(a1) / abs(a2)
+    terms = C1.as_dict()
+    for j, c in C2.terms:
+        terms[j] = terms.get(j, ZERO) + mult * c
+    return LinearConstraint.from_dict(terms, C1.rhs + mult * C2.rhs, "derived")
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,19 @@ def test_state_queries_match_reference_on_fractional_continuous_rows(case):
     assert is_asserting(C, t) == _reference_is_asserting(C, t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_trail_and_row(), _continuous_trail_and_row()))
+def test_state_queries_leave_the_kept_contributions_unchanged(case):
+    """``min_infeasible_state`` and ``is_asserting`` start from the global
+    contributions kept on C: asked twice on one row they answer the same,
+    and the kept contributions still equal a fresh computation."""
+    C, t, level = case
+    answers = [(min_infeasible_state(C, t), is_asserting(C, t, level)) for _ in range(2)]
+    assert answers[0] == answers[1]
+    fresh = LinearConstraint(C.terms, C.rhs)
+    assert global_contributions(C, t.variables) == global_contributions(fresh, t.variables)
+
+
 def test_walk_keeps_ints_on_an_integral_row():
     """An integral row over integral bounds: the walk's rhs, max activity,
     top and bottom contributions and widest span stay ints."""
@@ -815,6 +828,7 @@ def test_coef_tighten_matches_clipping_in_fractions(case):
             rhs -= (a + btilde) * v.global_ub
     out = coef_tighten(C, vs)
     assert out == mk(terms, rhs) and out.origin == "derived"
+    assert out.int_scaled() == mk(terms, rhs).int_scaled()
 
 
 @settings(max_examples=300, deadline=None)

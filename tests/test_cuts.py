@@ -88,6 +88,66 @@ def test_resolve_preserves_feasible_points(c1, c2, r1, r2):
             assert evaluate(out, list(p)).satisfied
 
 
+@st.composite
+def resolution_cases(draw):
+    """Binary, general-integer and continuous variables, the last with
+    fractional bounds; two rows over them with fractional coefficients and
+    right-hand sides; and a variable to resolve on, on which the two rows
+    mostly have opposite signs."""
+    n = draw(st.integers(1, 6))
+    vs = []
+    for j in range(n):
+        kind = draw(st.sampled_from(list(VarKind)))
+        if kind is VarKind.BINARY:
+            lb, ub = F(0), F(1)
+        else:
+            step = 1 if kind is VarKind.INTEGER else draw(st.integers(1, 4))
+            lb = F(draw(st.integers(-3, 3)), step)
+            ub = lb + draw(st.integers(0, 4))
+        vs.append(Variable(j, f"v{j}", kind, lb, ub))
+    nonzero = st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 9))
+    rhs = st.builds(F, st.integers(-12, 12), st.integers(1, 9))
+    var = draw(st.integers(0, n - 1))
+    rows = []
+    for _ in range(2):
+        support = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        rows.append({j: draw(nonzero) for j in support})
+    if draw(st.integers(0, 3)):
+        a = draw(nonzero)
+        rows[0][var] = a
+        rows[1][var] = -abs(draw(nonzero)) if a > 0 else abs(draw(nonzero))
+    C1, C2 = (mk(terms, draw(rhs)) for terms in rows)
+    return vs, C1, C2, var
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CutError as exc:
+        return f"CutError: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(resolution_cases())
+def test_resolve_matches_the_fraction_composition(case):
+    """``resolve`` on the integer-scaled rows gives the Fraction composition
+    C1 + (|a1|/|a2|)·C2, the same integer-scaled form as a fresh row, and
+    the same CutErrors; so does ``coef_tighten`` on the resolvent, which
+    clips on the form ``resolve`` attached."""
+    vs, C1, C2, var = case
+    want = _outcome(ref.resolve_in_fractions, C1, C2, var)
+    out = _outcome(resolve, C1, C2, var)
+    assert out == want
+    if isinstance(want, str):
+        return
+    assert out.origin == "derived" and out.coef(var) == 0
+    assert out.int_scaled() == want.int_scaled()
+    tight, want_tight = (_outcome(coef_tighten, row, vs) for row in (out, want))
+    assert tight == want_tight
+    if not isinstance(tight, str):
+        assert tight.int_scaled() == mk(tight.as_dict(), tight.rhs).int_scaled()
+
+
 # -- single-constraint operators ---------------------------------------------
 
 
@@ -138,6 +198,19 @@ def test_coef_tighten_general_bounds():
         assert evaluate(C2, list(p)).satisfied == evaluate(out2, list(p)).satisfied
     with pytest.raises(CutError):
         coef_tighten(mk({1: 1}, -1), vs)  # redundant row
+
+
+def test_coef_tighten_clips_to_a_fractional_gap():
+    """A continuous lower bound of 1/3 makes the gap b - minact fractional:
+    the clipped coefficient and the attached integer form carry it."""
+    vs = [
+        Variable(0, "x", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "y", VarKind.CONTINUOUS, F(1, 3), F(2)),
+    ]
+    out = coef_tighten(mk({0: 3, 1: 1}, 2), vs)
+    # btilde = 2 - 1/3 = 5/3 < 3
+    assert out == mk({0: F(5, 3), 1: 1}, 2)
+    assert out.int_scaled() == (3, ((0, 5), (1, 3)), 6)
 
 
 def test_coef_tighten_matches_saturation_on_01_rows():

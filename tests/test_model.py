@@ -20,6 +20,7 @@ from cutlearn.model import (
     complement,
     denormalize,
     evaluate,
+    global_contributions,
     infeasible_over,
     literal_variables,
     normalize_for_reduction,
@@ -80,6 +81,24 @@ def test_int_scaled_is_kept_out_of_equality_and_repr():
     assert learned == C and learned.origin == "learned:cmir"
     assert learned.int_scaled() is form
     assert fresh.with_origin("derived").int_scaled() == form
+
+
+def test_global_contributions_are_kept_per_variables_object():
+    """A row keeps its global contributions with the ``variables`` object
+    they were computed for, and under another origin: one row under two
+    variable tuples with different global bounds reads each tuple's own."""
+    C = mk({0: 1, 1: -1}, 0)
+    narrow = tuple(binary_vars(2))
+    wide = tuple(Variable(j, f"z{j}", VarKind.INTEGER, F(-3), F(1)) for j in range(2))
+    for vs in (narrow, wide, narrow, wide):
+        fresh = LinearConstraint(C.terms, C.rhs)
+        assert global_contributions(C, vs) == global_contributions(fresh, vs)
+    kept = global_contributions(C, wide)
+    assert global_contributions(C, wide)[0] is kept[0]
+    assert kept[0] == (4, 0, {0: 1, 1: 3}) and kept[1] == (-4, 0, {0: -3, 1: -1})
+    learned = C.with_origin("learned:cmir")
+    assert all(a is b for a, b in zip(global_contributions(learned, wide), kept))
+    assert learned.global_span(wide) == 4 and learned.global_span(narrow) == 1
 
 
 @given(st.dictionaries(st.integers(0, 6), coefs.filter(bool), max_size=5), coefs)
@@ -143,10 +162,8 @@ def test_scaled_activity_matches_the_fraction_sum(case):
     assert infeasible_over(C, lb, ub) == (expected < C.rhs)
 
 
-def test_combined_requires_positive_multiplier():
+def test_scaled_requires_positive_factor():
     C = mk({0: 1}, 1)
-    with pytest.raises(ValueError):
-        C.combined(C, F(-1))
     with pytest.raises(ValueError):
         C.scaled(F(0))
 

@@ -188,6 +188,18 @@ def test_optimum_with_continuous_objective():
     assert evaluate(p.constraints[0], list(got.witness)).satisfied
 
 
+def test_optimum_with_fractional_continuous_objective():
+    """The objective's scale (6 for x/2 + y/3) does not scale the value of
+    its continuous part."""
+    vs = [
+        Variable(0, "x", VarKind.BINARY, F(0), F(1)),
+        Variable(1, "y", VarKind.CONTINUOUS, F(1), F(5)),
+    ]
+    p = build_problem(vs, [({0: F(1), 1: F(1)}, ">=", F(1))], {0: F(1, 2), 1: F(1, 3)})
+    got = oracle_optimum(p)
+    assert got == OracleOptimum("optimal", F(1, 3), (F(0), F(1)))
+
+
 def test_optimum_pure_continuous_feasibility():
     vs = [Variable(0, "y", VarKind.CONTINUOUS, F(0), F(1))]
     p = build_problem(vs, [({0: F(1)}, ">=", F(1, 2))])

@@ -91,6 +91,13 @@ def test_bench_pairs_smoke(capsys):
     over = [name for name, s in result["summary"].items() if s["over_bound"]]
     assert "nodes" not in over and result["over_bound"] == over
     assert lines[-3] == f"over bound: {', '.join(over) or 'none'}"
+    # One run per side gives no slope, so no explained RSS move.
+    assert re.fullmatch(
+        r"peak_rss_mb move: observed [+-]\S+ MB \([+-]\S+%\)  explained by attempted n/a",
+        lines[-4],
+    )
+    assert lines[-5].startswith("attempted: parent ")
+    assert result["rss_explained_mb"] is None
     assert status == (1 if over else 0)
     assert [r["side"] for r in result["runs"]["parent"]] == ["parent"]
     benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
@@ -152,12 +159,18 @@ def test_bench_pairs_reads_rss_against_calls(tmp_path, monkeypatch, capsys):
             "--workload", "twophase", "--pairs", "2"]
     bench_pairs.main(argv)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3] == (
+    assert lines[-4] == (
         "attempted: parent 2000  change 6000  peak_rss_mb on attempted: 0.5 KB per call"
+    )
+    # Medians 20 + 2000·0.5/1024 and 28 + 6000·0.5/1024 MB; the 4000 extra
+    # calls explain 4000·0.5/1024 MB of the move.
+    assert lines[-3] == (
+        "peak_rss_mb move: observed +9.95 MB (+47.4%)  explained by attempted +1.95 MB (+9.3%)"
     )
     result = json.loads(lines[-1])
     assert result["attempted"] == {"parent": 2000, "change": 6000}
     assert result["rss_kb_per_call"] == pytest.approx(0.5)
+    assert result["rss_explained_mb"] == pytest.approx(4000 * 0.5 / 1024)
     # Runs that all make the same number of calls give no slope.
     assert bench_pairs.rss_kb_per_call(
         {side: [result["runs"][side][0]] * 2 for side in ("parent", "change")}
