@@ -10,134 +10,84 @@ import random
 from fractions import Fraction
 from typing import List
 
-from .model import LinearConstraint, Problem, Variable, VarKind, build_problem
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .model import LinearConstraint, Problem, Variable, VarKind, activity, build_problem
+from .rationals import ONE, ZERO
 
 
-def _nonzero_coef(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
-    c = 0
-    while c == 0:
-        c = rng.randint(lo, hi)
-    return Fraction(c)
-
-
-def random_binary_problem(
-    seed: int,
-    max_vars: int = 8,
-    max_rows: int = 6,
-    with_objective: bool = True,
-) -> Problem:
-    """Pure-binary instance with integer coefficients in [-10, 10].
-
-    The right-hand side of each row is sampled between the row's minimum and
-    maximum activity so that propagation has work to do.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(2, max_vars)
-    m = rng.randint(1, max_rows)
-    variables = [
-        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(n)
+def _binaries(count: int, first: int = 0) -> List[Variable]:
+    """Binaries x1..x<count> at indices first, first + 1, ..."""
+    return [
+        Variable(first + k, f"x{k + 1}", VarKind.BINARY, ZERO, ONE) for k in range(count)
     ]
+
+
+def _random_rows(
+    rng: random.Random, variables: List[Variable], count: int, max_size: int, coef: int
+) -> List[LinearConstraint]:
+    """``count`` rows over 2 to ``max_size`` distinct variables (the one
+    variable if there is only one), with nonzero integer coefficients in
+    [-coef, coef].  Each rhs is drawn above the row's min activity and at
+    most its max activity at the global bounds, so propagation has work to
+    do; integral bounds keep that range nonempty."""
+    n = len(variables)
+    lb = [v.global_lb for v in variables]
+    ub = [v.global_ub for v in variables]
     rows = []
-    for _ in range(m):
-        size = rng.randint(2, min(4, n))
-        support = rng.sample(range(n), size)
-        terms = {j: _nonzero_coef(rng) for j in support}
-        minact = sum(min(c, ZERO) for c in terms.values())
-        maxact = sum(max(c, ZERO) for c in terms.values())
-        rhs = Fraction(rng.randint(int(minact) + 1, int(maxact)))
-        rows.append(LinearConstraint.from_dict(terms, rhs))
-    objective = None
-    if with_objective:
-        objective = {j: Fraction(rng.randint(-5, 5)) for j in range(n)}
+    for _ in range(count):
+        size = rng.randint(2, min(max_size, n)) if n > 1 else 1
+        terms = {}
+        for j in rng.sample(range(n), size):
+            c = 0
+            while c == 0:
+                c = rng.randint(-coef, coef)
+            terms[j] = c
+        minact = activity(terms.items(), ub, lb).finite
+        maxact = activity(terms.items(), lb, ub).finite
+        rows.append(LinearConstraint.from_dict(terms, rng.randint(minact + 1, maxact)))
+    return rows
+
+
+def random_binary_problem(seed: int) -> Problem:
+    """Pure-binary instance: 2 to 8 binaries, 1 to 6 rows with integer
+    coefficients in [-10, 10], and an objective over every variable."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    variables = _binaries(n)
+    rows = _random_rows(rng, variables, rng.randint(1, 6), 4, 10)
+    objective = {j: rng.randint(-5, 5) for j in range(n)}
     return build_problem(variables, rows, objective)
 
 
-def random_mbp_problem(
-    seed: int,
-    max_binaries: int = 6,
-    max_continuous: int = 3,
-    max_rows: int = 6,
-    with_objective: bool = True,
-) -> Problem:
-    """Mixed-binary instance: binaries plus boxed continuous variables."""
+def random_mbp_problem(seed: int) -> Problem:
+    """Mixed-binary instance: 1 to 6 binaries plus 1 to 3 boxed continuous
+    variables, 2 to 6 rows, and an objective over about 80% of them."""
     rng = random.Random(seed)
-    nb = rng.randint(1, max_binaries)
-    nc = rng.randint(1, max_continuous)
-    variables: List[Variable] = [
-        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(nb)
-    ]
+    nb = rng.randint(1, 6)
+    nc = rng.randint(1, 3)
+    variables = _binaries(nb)
     for k in range(nc):
-        lo = Fraction(rng.randint(-2, 0))
-        hi = Fraction(rng.randint(int(lo) + 1, 3))
-        variables.append(
-            Variable(nb + k, f"y{k + 1}", VarKind.CONTINUOUS, lo, hi)
-        )
-    n = nb + nc
-    rows = []
-    m = rng.randint(2, max_rows)
-    for _ in range(m):
-        size = rng.randint(2, min(4, n))
-        support = rng.sample(range(n), size)
-        terms = {j: _nonzero_coef(rng) for j in support}
-        minact = ZERO
-        maxact = ZERO
-        for j, c in terms.items():
-            v = variables[j]
-            lo_c = c * (v.global_lb if c > 0 else v.global_ub)
-            hi_c = c * (v.global_ub if c > 0 else v.global_lb)
-            minact += lo_c
-            maxact += hi_c
-        if minact + 1 > maxact:
-            rhs = maxact
-        else:
-            rhs = Fraction(rng.randint(int(minact) + 1, int(maxact)))
-        rows.append(LinearConstraint.from_dict(terms, rhs))
-    objective = None
-    if with_objective:
-        objective = {
-            j: Fraction(rng.randint(-4, 4))
-            for j in range(n)
-            if rng.random() < 0.8
-        }
+        lo = rng.randint(-2, 0)
+        hi = rng.randint(lo + 1, 3)
+        variables.append(Variable(nb + k, f"y{k + 1}", VarKind.CONTINUOUS, lo, hi))
+    rows = _random_rows(rng, variables, rng.randint(2, 6), 4, 10)
+    objective = {j: rng.randint(-4, 4) for j in range(nb + nc) if rng.random() < 0.8}
     return build_problem(variables, rows, objective)
 
 
-def random_general_integer_problem(
-    seed: int, max_integers: int = 3, max_binaries: int = 3, max_rows: int = 5
-) -> Problem:
-    """Instance with small-range general integers for the fallback paths."""
+def random_general_integer_problem(seed: int) -> Problem:
+    """Instance with small-range general integers for the fallback paths:
+    1 to 3 integers, 0 to 3 binaries and 2 to 5 rows."""
     rng = random.Random(seed)
-    ni = rng.randint(1, max_integers)
-    nb = rng.randint(0, max_binaries)
+    ni = rng.randint(1, 3)
+    nb = rng.randint(0, 3)
     variables: List[Variable] = []
     for k in range(ni):
         lo = rng.randint(0, 2)
         hi = rng.randint(lo + 2, lo + 5)
-        variables.append(
-            Variable(k, f"z{k + 1}", VarKind.INTEGER, Fraction(lo), Fraction(hi))
-        )
-    for k in range(nb):
-        variables.append(
-            Variable(ni + k, f"x{k + 1}", VarKind.BINARY, ZERO, ONE)
-        )
-    n = ni + nb
-    rows = []
-    for _ in range(rng.randint(2, max_rows)):
-        size = rng.randint(2, min(3, n)) if n > 1 else 1
-        support = rng.sample(range(n), size)
-        terms = {j: _nonzero_coef(rng, -5, 5) for j in support}
-        minact = ZERO
-        maxact = ZERO
-        for j, c in terms.items():
-            v = variables[j]
-            minact += c * (v.global_lb if c > 0 else v.global_ub)
-            maxact += c * (v.global_ub if c > 0 else v.global_lb)
-        rhs = Fraction(rng.randint(int(minact) + 1, int(maxact)))
-        rows.append(LinearConstraint.from_dict(terms, rhs))
-    objective = {j: Fraction(rng.randint(-3, 3)) for j in range(n)}
+        variables.append(Variable(k, f"z{k + 1}", VarKind.INTEGER, lo, hi))
+    variables += _binaries(nb, ni)
+    rows = _random_rows(rng, variables, rng.randint(2, 5), 3, 5)
+    objective = {j: rng.randint(-3, 3) for j in range(ni + nb)}
     return build_problem(variables, rows, objective)
 
 
@@ -168,9 +118,7 @@ def pigeonhole(p: int, h: int) -> Problem:
 def parity(n: int, k: int) -> Problem:
     """``sum 2 x_i = 2k + 1`` over n binaries: infeasible, since the left
     side is even, yet propagation alone cannot see it."""
-    variables = [
-        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(n)
-    ]
+    variables = _binaries(n)
     return build_problem(
         variables, [({i: Fraction(2) for i in range(n)}, "=", Fraction(2 * k + 1))]
     )
@@ -182,9 +130,7 @@ def mknap(seed: int, n: int = 14, m: int = 2) -> Problem:
     ``sum w_i x_i <= floor(sum w_i / 2)``; then n profits 1-9, and minimize
     ``-sum p_i x_i``."""
     rng = random.Random(seed)
-    variables = [
-        Variable(i, f"x{i + 1}", VarKind.BINARY, ZERO, ONE) for i in range(n)
-    ]
+    variables = _binaries(n)
     rows = []
     for _ in range(m):
         weights = [rng.randint(1, 9) for _ in range(n)]

@@ -157,16 +157,12 @@ def _parse_var_line(line, lineno, idx, index) -> Variable:
     if name in index:
         raise ParseError(f"duplicate variable {name!r}", lineno)
     kind = VarKind(kind_s)
-    if kind is VarKind.BINARY:
-        if lo_s is not None and (
-            _parse_bound(lo_s, lineno) != 0 or _parse_bound(hi_s, lineno) != 1
-        ):
-            raise ParseError(f"binary variable {name!r} must have bounds [0,1]", lineno)
-        lo, hi = Fraction(0), Fraction(1)
-    else:
-        if lo_s is None:
-            raise ParseError(f"variable {name!r} needs explicit bounds", lineno)
+    if lo_s is not None:
         lo, hi = _parse_bound(lo_s, lineno), _parse_bound(hi_s, lineno)
+    elif kind is VarKind.BINARY:
+        lo, hi = 0, 1
+    else:
+        raise ParseError(f"variable {name!r} needs explicit bounds", lineno)
     index[name] = idx
     try:
         return Variable(idx, name, kind, lo, hi)

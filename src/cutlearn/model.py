@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rationals import (
     Ext,
@@ -175,9 +176,7 @@ class LinearConstraint:
         if top.infinite or bottom.infinite:
             span = INF
         else:
-            widest = max(
-                (t - bottom.contribs[j] for j, t in top.contribs.items()), default=0
-            )
+            widest = max(map(operator.sub, top.contribs, bottom.contribs), default=0)
             span = Fraction(widest, self.int_scaled()[0])
         self.__dict__["_global"] = (variables, top, bottom, span)
         return span
@@ -224,8 +223,8 @@ class LinearConstraint:
 # -- row activities -------------------------------------------------------------
 
 
-# A bound per variable index.
-Bounds = Sequence[Ext]
+# A bound per variable index: a sequence, or a dict over a row's variables.
+Bounds = Union[Sequence[Ext], Mapping[int, Ext]]
 
 
 class Activity(NamedTuple):
@@ -233,14 +232,13 @@ class Activity(NamedTuple):
 
     ``finite`` is the sum of the finite contributions a_j x_j (x_j at the
     bound that maximizes the term), ``infinite`` the number of infinite
-    ones, and ``contribs`` each term's contribution, None for an infinite
-    one: in term order from ``activity``, by variable index from
-    ``global_contributions``.
+    ones, and ``contribs`` each term's contribution in term order, None for
+    an infinite one.
     """
 
     finite: Rat
     infinite: int
-    contribs: Union[Tuple[Optional[Rat], ...], Dict[int, Optional[Rat]]]
+    contribs: Tuple[Optional[Rat], ...]
 
 
 def activity(terms: Sequence[Tuple[int, Rat]], lb: Bounds, ub: Bounds) -> Activity:
@@ -277,38 +275,20 @@ def infeasible_over(C: LinearConstraint, lb: Bounds, ub: Bounds) -> bool:
 def global_contributions(
     C: LinearConstraint, variables: Sequence[Variable]
 ) -> Tuple[Activity, Activity]:
-    """The global kernel: the max and the min activity of C's integer-scaled
-    row at the global bounds of ``variables``, in one pass over its terms.
+    """The max and the min activity of C's integer-scaled row at the global
+    bounds of ``variables``: the box kernel over the global box, and over it
+    with the bound vectors swapped.
 
-    A term's max (min) contribution is a_j times the global bound of x_j
-    that maximizes (minimizes) it, None where that bound is infinite.  They
-    are computed once per row and ``variables`` object and kept on the row,
-    so a caller that updates the dicts updates copies.
+    They are computed once per row and ``variables`` object and kept on the
+    row.
     """
     cached = C.__dict__.get("_global")
     if cached is not None and cached[0] is variables:
         return cached[1], cached[2]
     _, terms, _ = C.int_scaled()
-    top = bottom = 0
-    top_infinite = bottom_infinite = 0
-    tops: Dict[int, Optional[Rat]] = {}
-    bottoms: Dict[int, Optional[Rat]] = {}
-    for j, a in terms:
-        v = variables[j]
-        hi, lo = (v.global_ub, v.global_lb) if a > 0 else (v.global_lb, v.global_ub)
-        if is_finite(hi):
-            tops[j] = hi = a * hi
-            top += hi
-        else:
-            tops[j] = None
-            top_infinite += 1
-        if is_finite(lo):
-            bottoms[j] = lo = a * lo
-            bottom += lo
-        else:
-            bottoms[j] = None
-            bottom_infinite += 1
-    out = Activity(top, top_infinite, tops), Activity(bottom, bottom_infinite, bottoms)
+    lb = {j: variables[j].global_lb for j, _ in terms}
+    ub = {j: variables[j].global_ub for j, _ in terms}
+    out = activity(terms, lb, ub), activity(terms, ub, lb)
     C.__dict__["_global"] = (variables, *out, None)  # the span, once asked for
     return out
 

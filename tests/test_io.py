@@ -1,10 +1,16 @@
 """Input dialects, round-trip printing, and statistics emission."""
 
+import hashlib
 import json
 
 import pytest
 
-from cutlearn.corpus import desk_corpus, random_mbp_problem
+from cutlearn.corpus import (
+    desk_corpus,
+    random_binary_problem,
+    random_general_integer_problem,
+    random_mbp_problem,
+)
 from cutlearn.fileio import (
     ParseError,
     emit_result_stats,
@@ -107,7 +113,9 @@ def test_parse_native_errors():
         parse_native("var x binary\nvar x binary\n")
     with pytest.raises(ParseError):
         parse_native("var z integer\n")  # needs bounds
-    with pytest.raises(ParseError):
+    with pytest.raises(
+        ParseError, match=r"^line 1: binary variable 'x' must have bounds \[0,1\]$"
+    ):
         parse_native("var x binary [0, 2]\n")
     with pytest.raises(ParseError):
         parse_native("con c: + 1 x >= 0\n")  # unknown variable
@@ -142,6 +150,25 @@ def test_print_native_roundtrip():
         assert back.constraints == problem.constraints
         assert back.objective == problem.objective
         assert print_native(back) == text
+
+
+# sha256 of the printed random instances: the benchmark's ``twophase`` inputs
+# and the transcript's sweep.  A change that means to change them updates it
+# and says so.
+GENERATED_INSTANCES_SHA256 = (
+    "6d6ff545642fd1e578e71e93e7b234968903cd7b4445a0679db86a56c4fcd2bb"
+)
+
+
+def test_generated_instances_are_unchanged():
+    """``random_binary_problem`` seeds 0-999, ``random_mbp_problem`` seeds
+    0-299 and ``random_general_integer_problem`` seeds 0-199, printed one
+    after the other, give the committed digest."""
+    problems = [random_binary_problem(s) for s in range(1000)]
+    problems += [random_mbp_problem(s) for s in range(300)]
+    problems += [random_general_integer_problem(s) for s in range(200)]
+    text = "".join(print_native(p) for p in problems)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_INSTANCES_SHA256
 
 
 # -- statistics ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Import layering, read from the source with ``ast``: the oracle shares no
-code with the solver beyond the problem representation, and the cut
-operators depend on nothing above the model."""
+code with the solver beyond the problem representation, the model, the
+trail, the cut operators and the instance generators depend on nothing
+above the model, and propagation depends on neither conflict analysis nor
+search."""
 
 import ast
 from pathlib import Path
@@ -80,3 +82,19 @@ def test_package_imports_reads_every_import_form(tmp_path):
         ("search", []),
         ("trail", []),
     ]
+
+
+def test_model_imports_only_rationals():
+    assert imported_modules("model") <= {"rationals"}
+
+
+def test_trail_imports_only_model_and_rationals():
+    assert imported_modules("trail") <= {"model", "rationals"}
+
+
+def test_propagation_imports_nothing_from_analysis_or_search():
+    assert not imported_modules("propagation") & {"conflict", "search"}
+
+
+def test_corpus_imports_only_model_and_rationals():
+    assert imported_modules("corpus") <= {"model", "rationals"}

@@ -95,7 +95,7 @@ def test_global_contributions_are_kept_per_variables_object():
         assert global_contributions(C, vs) == global_contributions(fresh, vs)
     kept = global_contributions(C, wide)
     assert global_contributions(C, wide)[0] is kept[0]
-    assert kept[0] == (4, 0, {0: 1, 1: 3}) and kept[1] == (-4, 0, {0: -3, 1: -1})
+    assert kept[0] == (4, 0, (1, 3)) and kept[1] == (-4, 0, (-3, -1))
     learned = C.with_origin("learned:cmir")
     assert all(a is b for a, b in zip(global_contributions(learned, wide), kept))
     assert learned.global_span(wide) == 4 and learned.global_span(narrow) == 1
